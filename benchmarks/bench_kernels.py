@@ -4,6 +4,10 @@ Usage:  python3 benchmarks/bench_kernels.py [--size N] [--repeats R]
 
 Each kernel is timed on both paths regardless of the TLF_NUMBA switch; the
 numba variants are warmed up first so compilation is excluded.
+
+Kernels are timed in isolation, so this cannot say where a solve spends its
+time. It is a supporting check only; the end-to-end and per-layer benchmark
+is ``python3 bench_e2e/run.py --workload ...`` (see bench_e2e/README.md).
 """
 
 import argparse

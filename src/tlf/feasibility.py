@@ -13,7 +13,8 @@ exactly in the frequency domain when K is circulant, or by warm-started
 conjugate gradient otherwise (mask operators for inpainting).
 """
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,11 @@ class FeasibilityModel:
     cg_tol: float = 1e-8
     cg_max_iters: int = 2000
     anchor: tuple | None = None  # (ImageTensor x_tilde, float mu)
+    # Loop-invariant terms of the x-subproblem, computed once per model:
+    # K^T b, and for the FFT solver the anchor-free Fourier denominator
+    # |K^|^2 + 2 rho_h |g_h^|^2 + 2 rho_v |g_v^|^2 on the rfft grid.
+    ktb: np.ndarray = field(init=False, repr=False, compare=False)
+    fft_base: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tv_weight < 0:
@@ -62,6 +68,11 @@ class FeasibilityModel:
             raise ConfigError(f"unknown x_solver {self.x_solver!r}")
         if self.x_solver == "fft" and not _is_circulant(self.data_op):
             raise ConfigError("fft x-solver requires a circulant data operator")
+        self._check_anchor()
+        object.__setattr__(self, "ktb", self.data_op._adjoint(self.observation.data))
+        object.__setattr__(self, "fft_base", _fft_base(self) if self.x_solver == "fft" else None)
+
+    def _check_anchor(self):
         if self.anchor is not None:
             x_tilde, mu = self.anchor
             if mu < 0:
@@ -70,10 +81,12 @@ class FeasibilityModel:
                 raise ConfigError("anchor shape differs from observation")
 
     def with_anchor(self, x_tilde: ImageTensor, mu: float) -> "FeasibilityModel":
-        return replace(self, anchor=(x_tilde, mu))
-
-    def without_anchor(self) -> "FeasibilityModel":
-        return replace(self, anchor=None)
+        """Anchored copy. The anchor enters neither K^T b nor the base
+        denominator, so the copy shares both with this model."""
+        model = copy.copy(self)
+        object.__setattr__(model, "anchor", (x_tilde, mu))
+        model._check_anchor()
+        return model
 
 
 def _grad_freq_sq(height, width):
@@ -83,19 +96,21 @@ def _grad_freq_sq(height, width):
     return gv[:, None], gh[None, :]
 
 
-def _fft_solve(model, rhs, mu):
-    h, w = rhs.shape[1], rhs.shape[2]
+def _fft_base(model):
+    h, w = model.observation.height, model.observation.width
     rh, rv = model.hqs_rho
     gv2, gh2 = _grad_freq_sq(h, w)
     if isinstance(model.data_op, CircularConvolution):
         k2 = np.abs(model.data_op.frequency_response(h, w)) ** 2
     else:
         k2 = 1.0
-    denom = k2 + 2.0 * rh * gh2 + 2.0 * rv * gv2 + mu
-    out = np.empty_like(rhs)
-    for c in range(rhs.shape[0]):
-        out[c] = np.fft.irfft2(np.fft.rfft2(rhs[c]) / denom, s=(h, w))
-    return out
+    return k2 + 2.0 * rh * gh2 + 2.0 * rv * gv2
+
+
+def _fft_solve(model, rhs, mu):
+    # Every channel in one call, on numpy.fft looked up at call time; why not
+    # scipy.fft is noted at CircularConvolution._conv.
+    return np.fft.irfft2(np.fft.rfft2(rhs) / (model.fft_base + mu), s=rhs.shape[1:])
 
 
 def _cg_solve(matvec, rhs, x0, tol, max_iters):
@@ -157,7 +172,6 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, energy_log=None, aux=None
         anchor_arr, mu = None, 0.0
     spec_h = ProxSpec(model.tv_q, model.tv_weight / (2.0 * rh))
     spec_v = ProxSpec(model.tv_q, model.tv_weight / (2.0 * rv))
-    ktb = k_op._adjoint(b)
 
     x = x_init.data.copy()
     if energy_log is not None:
@@ -174,7 +188,7 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, energy_log=None, aux=None
     for _ in range(model.hqs_iters):
         zh = prox_lp_array(_GH._apply(x), spec_h)
         zv = prox_lp_array(_GV._apply(x), spec_v)
-        rhs = ktb + 2.0 * rh * _GH._adjoint(zh) + 2.0 * rv * _GV._adjoint(zv)
+        rhs = model.ktb + 2.0 * rh * _GH._adjoint(zh) + 2.0 * rv * _GV._adjoint(zv)
         if anchor_arr is not None:
             rhs = rhs + mu * anchor_arr
         if model.x_solver == "fft":

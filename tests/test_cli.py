@@ -80,23 +80,32 @@ class TestBench:
         assert "psnr_pg = 100.000000" in summary
 
     def test_multi_solver_parallel(self, deblur_files):
-        code = run_cli(
-            [
-                "bench",
-                "--input", deblur_files / "gt.tlft",
-                "--kernel", deblur_files / "kernel.txt",
-                "--noise", "1.0",
-                "--out", deblur_files / "bench",
-                "--solver", "pg,tlf",
-                "--max-iters", "20", "--rel-tol", "0",
-                "--jobs", "2",
-            ]
-        )
-        assert code == 0
-        summary = (deblur_files / "bench" / "summary.txt").read_text()
+        def bench(jobs):
+            out = deblur_files / f"bench{jobs}"
+            code = run_cli(
+                [
+                    "bench",
+                    "--input", deblur_files / "gt.tlft",
+                    "--kernel", deblur_files / "kernel.txt",
+                    "--noise", "1.0",
+                    "--out", out,
+                    "--solver", "pg,tlf",
+                    "--max-iters", "20", "--rel-tol", "0",
+                    "--jobs", jobs,
+                ]
+            )
+            assert code == 0
+            return out
+
+        threaded = bench(2)
+        summary = (threaded / "summary.txt").read_text()
         assert "psnr_pg" in summary and "psnr_tlf" in summary
-        assert (deblur_files / "bench" / "pg" / "trace.csv").exists()
-        assert (deblur_files / "bench" / "tlf" / "trace.csv").exists()
+        # the threads share the model's precomputed spectra; sharing must not
+        # change a single byte of either solver's trace
+        sequential = bench(1)
+        for solver in ("pg", "tlf"):
+            got = (threaded / solver / "trace.csv").read_bytes()
+            assert got == (sequential / solver / "trace.csv").read_bytes()
 
 
 class TestDeblurRun:

@@ -105,6 +105,14 @@ class TestApply:
             want = naive_circ_conv(x, op.kernel.taps)
             assert np.abs(got - want).max() <= 1e-10
 
+    def test_conv_three_channels_equal_stacked_channels(self, rng):
+        op = CircularConvolution(BlurKernel(rng.standard_normal((5, 3)), normalize=False))
+        x = random_image(rng, 12, 16, c=3)
+        for method in (op.apply, op.adjoint):
+            got = method(x).data
+            want = np.stack([method(ImageTensor(x.data[c])).data[0] for c in range(3)])
+            assert np.array_equal(got, want)
+
     def test_direct_kernel_matches_naive(self, rng):
         from tlf._kernels import conv2_circular_direct
 
