@@ -26,11 +26,7 @@ from .tensor import (
     Mask,
     WaveletForward,
     WaveletInverse,
-    adjoint,
-    apply,
     estimate_lipschitz,
-    wavelet_forward,
-    wavelet_inverse,
 )
 from .trace import IterateTrace, TraceRecord
 

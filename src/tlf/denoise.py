@@ -134,6 +134,18 @@ def denoise(spec: DenoiserSpec, x: ImageTensor, iter_index: int = 0) -> ImageTen
     return _wavelet_shrink(x, strength)
 
 
+def try_denoised(propose):
+    """Return ``propose()``, or None when a denoiser called in it fails.
+
+    The solvers turn None into a NaN displacement norm, which BUS rejects:
+    a failed denoiser costs the anchored point, never the solve.
+    """
+    try:
+        return propose()
+    except DenoiserError:
+        return None
+
+
 def _encode_request(x: ImageTensor, hint: float) -> bytes:
     header = PROTOCOL_MAGIC + struct.pack(
         "<IIIf", x.height, x.width, x.channels, float(hint)

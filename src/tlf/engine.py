@@ -21,34 +21,27 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import feasibility as _feas
-from .denoise import DenoiserSpec, denoise
-from .errors import DenoiserError
+from .denoise import DenoiserSpec, denoise, try_denoised
 from .feasibility import FeasibilityModel
-from .metrics import psnr as _psnr
-from .problem import CompositeProblem, SolverParams, eval_F, pg_step, relative_change
+from .problem import CompositeProblem, SolverParams, eval_F, iterate, pg_step
 from .tensor import ImageTensor
-from .trace import (
-    BUS_ACCEPTED,
-    BUS_FALLBACK,
-    BUS_NA,
-    MDUS_ACCEPTED,
-    MDUS_FALLBACK,
-    IterateTrace,
-    TraceRecord,
-)
+from .trace import BUS_ACCEPTED, BUS_FALLBACK, BUS_NA, MDUS_BRANCHES, TraceRecord
 
 
 class MdusResult(NamedTuple):
     x: ImageTensor
     alpha: float
-    accepted_v: bool
     F_value: float
+    chosen: int  # 0: v, i: the i-th fallback
+
+    @property
+    def accepted_v(self) -> bool:
+        return self.chosen == 0
 
 
 class BusResult(NamedTuple):
-    u: ImageTensor
-    mu: float
     accepted_z: bool
+    mu: float
 
 
 def _objective(prob) -> Callable[[ImageTensor], float]:
@@ -57,38 +50,77 @@ def _objective(prob) -> Callable[[ImageTensor], float]:
     return lambda x: eval_F(prob, x)
 
 
-def mdus(prob, v: ImageTensor, x_F: ImageTensor, alpha: float, gamma: float) -> MdusResult:
-    """Monotone descent update: keep v only if F(v) <= F(x_F); decay alpha."""
+def mdus(prob, v, *fallbacks, alpha: float, gamma: float) -> MdusResult:
+    """Monotone descent update: keep the first point of least F; decay alpha.
+
+    A later point replaces the current choice unless the choice's F is <=
+    its own: a tie keeps the earlier point (v first), and a NaN on either
+    side moves to the later one.
+    """
     fn = _objective(prob)
-    f_v = fn(v)
-    f_xf = fn(x_F)
-    if f_v <= f_xf:
-        return MdusResult(v, gamma * alpha, True, f_v)
-    return MdusResult(x_F, gamma * alpha, False, f_xf)
+    x, f_x, chosen = v, fn(v), 0
+    for i, point in enumerate(fallbacks, 1):
+        f_point = fn(point)
+        if not f_x <= f_point:
+            x, f_x, chosen = point, f_point, i
+    return MdusResult(x, gamma * alpha, f_x, chosen)
 
 
-def bus(
-    x: ImageTensor,
-    x_G: ImageTensor,
-    x_Gmu: ImageTensor,
-    z: ImageTensor,
-    x_F: ImageTensor,
-    alpha: float,
-    mu: float,
-    beta: float,
-    C: float,
-) -> BusResult:
-    """Boundedness check on the anchored step, with mu decay on rejection."""
-    lhs = float(np.linalg.norm(x_Gmu.data - x.data))
-    rhs = float(np.linalg.norm(x_G.data - x.data))
-    if lhs <= C * rhs:
-        return BusResult(z, mu, True)
-    u = ImageTensor(alpha * x_G.data + (1.0 - alpha) * x_F.data)
-    return BusResult(u, beta * mu, False)
+def bus(norm_xGmu: float, norm_xG: float, mu: float, beta: float, C: float) -> BusResult:
+    """Boundedness check on the anchored step, with mu decay on rejection.
+
+    Accepts while ||x_Gmu - x|| <= C * ||x_G - x||; a NaN norm (a failed
+    denoiser) is rejected.
+    """
+    if norm_xGmu <= C * norm_xG:
+        return BusResult(True, mu)
+    return BusResult(False, beta * mu)
 
 
 def _aggregate(alpha: float, a: ImageTensor, b: ImageTensor) -> ImageTensor:
     return ImageTensor(alpha * a.data + (1.0 - alpha) * b.data)
+
+
+def _dist(a: ImageTensor, b: ImageTensor) -> float:
+    return float(np.linalg.norm(a.data - b.data))
+
+
+def _latent_solve(method, prob, feas, denoiser, params, x0, ground_truth):
+    """TLF (no denoiser) or DTLF: the aggregate step under MDUS, and BUS."""
+    t = params.resolve_step(prob.lipschitz)
+    x = prob.default_init() if x0 is None else x0
+    alpha, mu = params.alpha0, params.mu0
+
+    def step(x, k):
+        nonlocal alpha, mu
+        x_F = pg_step(prob, x, t)
+        img_x = prob.to_image(x)
+        x_G = prob.from_image(_feas.solve_G(feas, img_x))
+        rec = TraceRecord(
+            k=k,
+            F_value=math.nan,
+            norm_xF_x=_dist(x_F, x),
+            norm_xG_x=_dist(x_G, x),
+            alpha=alpha,
+            bus_branch=BUS_NA,
+        )
+        latent = x_G
+        if denoiser is not None:
+            x_Gmu = try_denoised(lambda: prob.from_image(
+                _feas.solve_G_mu(feas.with_anchor(denoise(denoiser, img_x, k), mu), img_x)
+            ))
+            rec.norm_xGmu_x = math.nan if x_Gmu is None else _dist(x_Gmu, x)
+            rec.mu = mu
+            accepted_z, mu = bus(rec.norm_xGmu_x, rec.norm_xG_x, mu, params.beta, params.bus_c)
+            rec.bus_branch = BUS_ACCEPTED if accepted_z else BUS_FALLBACK
+            if accepted_z:
+                latent = x_Gmu
+        guard = mdus(prob, _aggregate(alpha, latent, x_F), x_F, alpha=alpha, gamma=params.gamma)
+        rec.F_value, rec.mdus_branch = guard.F_value, MDUS_BRANCHES[guard.chosen]
+        alpha = guard.alpha
+        return guard.x, rec
+
+    return iterate(method, x, step, params, eval_F(prob, x), prob.to_image, ground_truth)
 
 
 def tlf_solve(
@@ -99,34 +131,7 @@ def tlf_solve(
     ground_truth: ImageTensor | None = None,
 ):
     """Task-driven latent feasibility iteration (model-based constraint)."""
-    t = params.resolve_step(prob.lipschitz)
-    x = prob.default_init() if x0 is None else x0
-    alpha = params.alpha0
-    trace = IterateTrace(method="tlf", initial_F=eval_F(prob, x))
-    for k in range(params.max_iters):
-        x_F = pg_step(prob, x, t)
-        img_x = prob.to_image(x)
-        x_G = prob.from_image(_feas.solve_G(feas, img_x))
-        v = _aggregate(alpha, x_G, x_F)
-        step = mdus(prob, v, x_F, alpha, params.gamma)
-        rel = relative_change(step.x.data, x.data)
-        rec = TraceRecord(
-            k=k,
-            F_value=step.F_value,
-            rel_err=rel,
-            norm_xF_x=float(np.linalg.norm(x_F.data - x.data)),
-            norm_xG_x=float(np.linalg.norm(x_G.data - x.data)),
-            alpha=alpha,
-            mdus_branch=MDUS_ACCEPTED if step.accepted_v else MDUS_FALLBACK,
-            bus_branch=BUS_NA,
-        )
-        if ground_truth is not None:
-            rec.psnr = _psnr(prob.to_image(step.x), ground_truth)
-        trace.append(rec)
-        x, alpha = step.x, step.alpha
-        if rel <= params.rel_tol:
-            break
-    return x, trace
+    return _latent_solve("tlf", prob, feas, None, params, x0, ground_truth)
 
 
 def dtlf_solve(
@@ -142,52 +147,4 @@ def dtlf_solve(
     A denoiser failure at iteration k is absorbed as a BUS rejection: the
     iteration falls back to the model-based aggregate and mu decays.
     """
-    t = params.resolve_step(prob.lipschitz)
-    x = prob.default_init() if x0 is None else x0
-    alpha = params.alpha0
-    mu = params.mu0
-    trace = IterateTrace(method="dtlf", initial_F=eval_F(prob, x))
-    for k in range(params.max_iters):
-        x_F = pg_step(prob, x, t)
-        img_x = prob.to_image(x)
-        x_G = prob.from_image(_feas.solve_G(feas, img_x))
-        norm_xg = float(np.linalg.norm(x_G.data - x.data))
-        try:
-            x_tilde = denoise(denoiser, img_x, k)
-            x_Gmu = prob.from_image(
-                _feas.solve_G_mu(feas.with_anchor(x_tilde, mu), img_x)
-            )
-        except DenoiserError:
-            u = _aggregate(alpha, x_G, x_F)
-            mu_next = params.beta * mu
-            accepted_z = False
-            norm_xgmu = math.nan
-        else:
-            norm_xgmu = float(np.linalg.norm(x_Gmu.data - x.data))
-            z = _aggregate(alpha, x_Gmu, x_F)
-            if norm_xgmu <= params.bus_c * norm_xg:
-                u, mu_next, accepted_z = z, mu, True
-            else:
-                u = _aggregate(alpha, x_G, x_F)
-                mu_next, accepted_z = params.beta * mu, False
-        step = mdus(prob, u, x_F, alpha, params.gamma)
-        rel = relative_change(step.x.data, x.data)
-        rec = TraceRecord(
-            k=k,
-            F_value=step.F_value,
-            rel_err=rel,
-            norm_xF_x=float(np.linalg.norm(x_F.data - x.data)),
-            norm_xG_x=norm_xg,
-            norm_xGmu_x=norm_xgmu,
-            alpha=alpha,
-            mu=mu,
-            mdus_branch=MDUS_ACCEPTED if step.accepted_v else MDUS_FALLBACK,
-            bus_branch=BUS_ACCEPTED if accepted_z else BUS_FALLBACK,
-        )
-        if ground_truth is not None:
-            rec.psnr = _psnr(prob.to_image(step.x), ground_truth)
-        trace.append(rec)
-        x, alpha, mu = step.x, step.alpha, mu_next
-        if rel <= params.rel_tol:
-            break
-    return x, trace
+    return _latent_solve("dtlf", prob, feas, denoiser, params, x0, ground_truth)

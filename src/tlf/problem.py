@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .metrics import psnr
 from .prox import ProxSpec, lp_penalty, prox_lp_array
 from .tensor import ImageTensor, LinearOperator
 from .trace import IterateTrace, TraceRecord
@@ -119,6 +120,32 @@ def relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return num / den
 
 
+def _tensor_change(new: ImageTensor, old: ImageTensor) -> float:
+    return relative_change(new.data, old.data)
+
+
+def iterate(method, x, step, params, initial_F, image, ground_truth=None, change=_tensor_change):
+    """The outer loop of every solver in the package.
+
+    ``step(x, k)`` returns the next iterate and its TraceRecord.  The driver
+    fills the record's ``rel_err`` from ``change(new, old)`` and, given a
+    ground truth, its ``psnr`` from ``image(new)``; it stops once rel_err
+    <= rel_tol or after max_iters steps.  Returns the last iterate and the
+    IterateTrace.
+    """
+    trace = IterateTrace(method=method, initial_F=initial_F)
+    for k in range(params.max_iters):
+        x_next, rec = step(x, k)
+        rec.rel_err = change(x_next, x)
+        if ground_truth is not None:
+            rec.psnr = psnr(image(x_next), ground_truth)
+        trace.append(rec)
+        x = x_next
+        if rec.rel_err <= params.rel_tol:
+            break
+    return x, trace
+
+
 def solve_baseline(
     prob: CompositeProblem,
     method: str,
@@ -137,33 +164,24 @@ def solve_baseline(
     t = params.resolve_step(prob.lipschitz)
     x = prob.default_init() if x0 is None else x0
     x_prev = x
-    trace = IterateTrace(method=method, initial_F=eval_F(prob, x))
-    for k in range(params.max_iters):
+
+    def step(x, k):
+        nonlocal x_prev
         if method == "pg":
             x_next = pg_step(prob, x, t)
-        elif method == "apg":
+        else:
             w = (k - 1) / (k + 2) if k >= 1 else 0.0
             y = ImageTensor(x.data + w * (x.data - x_prev.data))
             x_next = pg_step(prob, y, t)
-        else:  # mapg: momentum candidate kept only if it does not lose to plain PG
-            w = (k - 1) / (k + 2) if k >= 1 else 0.0
-            y = ImageTensor(x.data + w * (x.data - x_prev.data))
-            z = pg_step(prob, y, t)
-            u = pg_step(prob, x, t)
-            x_next = z if eval_F(prob, z) <= eval_F(prob, u) else u
-        rel = relative_change(x_next.data, x.data)
+            if method == "mapg":  # momentum candidate kept only if it does not lose to plain PG
+                u = pg_step(prob, x, t)
+                x_next = x_next if eval_F(prob, x_next) <= eval_F(prob, u) else u
+        x_prev = x
         rec = TraceRecord(
             k=k,
             F_value=eval_F(prob, x_next),
-            rel_err=rel,
             norm_xF_x=float(np.linalg.norm(x_next.data - x.data)),
         )
-        if ground_truth is not None:
-            from .metrics import psnr
+        return x_next, rec
 
-            rec.psnr = psnr(prob.to_image(x_next), ground_truth)
-        trace.append(rec)
-        x_prev, x = x, x_next
-        if rel <= params.rel_tol:
-            break
-    return x, trace
+    return iterate(method, x, step, params, eval_F(prob, x), prob.to_image, ground_truth)

@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import feasibility as _feas
-from .denoise import DenoiserSpec, denoise
-from .errors import DenoiserError, ShapeError, ValidationError
+from .denoise import DenoiserSpec, denoise, try_denoised
+from .engine import bus, mdus
+from .errors import ShapeError, ValidationError
 from .feasibility import FeasibilityModel
-from .metrics import psnr as _psnr
 from .prox import ProxSpec, lp_penalty, prox_lp_array
-from .problem import CompositeProblem, SolverParams
+from .problem import CompositeProblem, SolverParams, iterate
 from .tensor import (
     BlurKernel,
     CircularConvolution,
@@ -33,14 +33,7 @@ from .tensor import (
     WaveletForward,
     WaveletInverse,
 )
-from .trace import (
-    BUS_ACCEPTED,
-    BUS_FALLBACK,
-    MDUS_ACCEPTED,
-    MDUS_FALLBACK,
-    IterateTrace,
-    TraceRecord,
-)
+from .trace import BUS_ACCEPTED, BUS_FALLBACK, MDUS_BRANCHES, TraceRecord
 
 DEFAULT_LEVELS = 3
 
@@ -253,6 +246,14 @@ def rain_layer_prox(resid, x_tilde, eta, rho, p):
     return prox_lp_array(center, ProxSpec(p, rho / (1.0 + eta)))
 
 
+def _layers_dist(a, b) -> float:
+    """Joint distance of two (background, rain) layer pairs."""
+    return math.hypot(
+        float(np.linalg.norm(a[0].data - b[0].data)),
+        float(np.linalg.norm(a[1].data - b[1].data)),
+    )
+
+
 def derain_step(
     y: ImageTensor,
     state: DerainState,
@@ -269,6 +270,7 @@ def derain_step(
     syn = WaveletInverse(state.levels)
     n_b, n_r = denoisers
     s = params.resolve_step(1.0)
+    layers = (state.x_b, state.x_r)
 
     # (a) proximal-gradient update of the sparse codes (orthonormal W => L=1)
     beta = ImageTensor(
@@ -285,88 +287,65 @@ def derain_step(
     )
 
     # (b) objective-side layer updates: project the synthesized codes
-    x_fb = _clip(syn.apply(beta))
-    x_fr = _clip(syn.apply(gamma))
+    x_f = (_clip(syn.apply(beta)), _clip(syn.apply(gamma)))
 
     # (c)-(e) feasibility-side updates, anchored and anchor-free
     bg_model = _background_model(y, state.x_r, w)
-    x_gb = _clip(_feas.solve_G(bg_model, state.x_b))
     resid_r = y.data - state.x_b.data
-    x_gr = _clip(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2))))
+    x_g = (
+        _clip(_feas.solve_G(bg_model, state.x_b)),
+        _clip(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
+    )
 
-    denoiser_failed = False
-    x_gmub = x_gmur = None
-    try:
+    def anchored():
         xt_b = denoise(n_b, state.x_b, k)
         xt_r = denoise(n_r, state.x_r, k)
-    except DenoiserError:
-        denoiser_failed = True
-    else:
-        x_gmub = _clip(
-            _feas.solve_G_mu(bg_model.with_anchor(xt_b, state.eta1), state.x_b)
-        )
-        x_gmur = _clip(
-            ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.eta2, w.rho2, w.p2))
+        return (
+            _clip(_feas.solve_G_mu(bg_model.with_anchor(xt_b, state.eta1), state.x_b)),
+            _clip(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.eta2, w.rho2, w.p2))),
         )
 
-    # (f) aggregation, joint BUS over the stacked layers, joint MDUS
+    x_gmu = try_denoised(anchored)
+
+    # (f) joint BUS over the stacked layers; both anchor weights decay
+    # together, so BUS runs on a unit weight that scales each of them
+    norm_xg = _layers_dist(x_g, layers)
+    norm_xgmu = math.nan if x_gmu is None else _layers_dist(x_gmu, layers)
+    accepted_z, scale = bus(norm_xgmu, norm_xg, 1.0, params.beta, params.bus_c)
+    latent = x_gmu if accepted_z else x_g
     a = state.alpha
-    norm_xg = math.hypot(
-        float(np.linalg.norm(x_gb.data - state.x_b.data)),
-        float(np.linalg.norm(x_gr.data - state.x_r.data)),
-    )
-    if denoiser_failed:
-        norm_xgmu = math.nan
-        accepted_z = False
-    else:
-        norm_xgmu = math.hypot(
-            float(np.linalg.norm(x_gmub.data - state.x_b.data)),
-            float(np.linalg.norm(x_gmur.data - state.x_r.data)),
-        )
-        accepted_z = norm_xgmu <= params.bus_c * norm_xg
-    if accepted_z:
-        u_b = ImageTensor(a * x_gmub.data + (1.0 - a) * x_fb.data)
-        u_r = ImageTensor(a * x_gmur.data + (1.0 - a) * x_fr.data)
-        eta1, eta2 = state.eta1, state.eta2
-    else:
-        u_b = ImageTensor(a * x_gb.data + (1.0 - a) * x_fb.data)
-        u_r = ImageTensor(a * x_gr.data + (1.0 - a) * x_fr.data)
-        eta1, eta2 = params.beta * state.eta1, params.beta * state.eta2
+    u_b, u_r = (ImageTensor(a * g.data + (1.0 - a) * f.data) for g, f in zip(latent, x_f))
 
-    cand = replace(state, x_b=u_b, x_r=u_r, beta=beta, gamma=gamma)
-    fall = replace(state, x_b=x_fb, x_r=x_fr, beta=beta, gamma=gamma)
-    keep = replace(state, beta=beta, gamma=gamma)  # last resort: layers unchanged
-    f_cand = derain_objective(y, cand)
-    f_fall = derain_objective(y, fall)
-    f_keep = derain_objective(y, keep)
-    accepted_v = f_cand <= min(f_fall, f_keep)
-    if accepted_v:
-        chosen, f_chosen = cand, f_cand
-    elif f_fall <= f_keep:
-        chosen, f_chosen = fall, f_fall
-    else:
-        chosen, f_chosen = keep, f_keep
+    # joint MDUS: the aggregate, then the projected codes, then the layers unchanged
+    guard = mdus(
+        lambda st: derain_objective(y, st),
+        replace(state, x_b=u_b, x_r=u_r, beta=beta, gamma=gamma),
+        replace(state, x_b=x_f[0], x_r=x_f[1], beta=beta, gamma=gamma),
+        replace(state, beta=beta, gamma=gamma),
+        alpha=state.alpha,
+        gamma=params.gamma,
+    )
     next_state = replace(
-        chosen, eta1=eta1, eta2=eta2, alpha=params.gamma * state.alpha
-    )
-
-    norm_xf = math.hypot(
-        float(np.linalg.norm(x_fb.data - state.x_b.data)),
-        float(np.linalg.norm(x_fr.data - state.x_r.data)),
+        guard.x, eta1=scale * state.eta1, eta2=scale * state.eta2, alpha=guard.alpha
     )
     rec = TraceRecord(
         k=k,
-        F_value=f_chosen,
-        rel_err=math.nan,  # filled by derain_solve
-        norm_xF_x=norm_xf,
+        F_value=guard.F_value,
+        norm_xF_x=_layers_dist(x_f, layers),
         norm_xG_x=norm_xg,
         norm_xGmu_x=norm_xgmu,
         alpha=state.alpha,
         mu=state.eta1,
-        mdus_branch=MDUS_ACCEPTED if accepted_v else MDUS_FALLBACK,
+        mdus_branch=MDUS_BRANCHES[guard.chosen],
         bus_branch=BUS_ACCEPTED if accepted_z else BUS_FALLBACK,
     )
     return next_state, rec
+
+
+def _layers_change(new: DerainState, old: DerainState) -> float:
+    num = _layers_dist((new.x_b, new.x_r), (old.x_b, old.x_r))
+    den = math.hypot(new.x_b.norm(), new.x_r.norm())
+    return num / den if den > 0 else (0.0 if num == 0.0 else math.inf)
 
 
 def derain_solve(
@@ -378,9 +357,8 @@ def derain_solve(
     weights: DerainWeights | None = None,
 ):
     """Iterate derain_step to joint relative tolerance on (x_b, x_r)."""
-    for layer_name, layer in (("y", y),):
-        if layer.data.min() < 0.0 or layer.data.max() > 1.0:
-            raise ValidationError(f"{layer_name} must lie in [0, 1]")
+    if y.data.min() < 0.0 or y.data.max() > 1.0:
+        raise ValidationError("y must lie in [0, 1]")
     state = derain_init(y, weights or DerainWeights(), params) if init is None else init
     if init is not None and (
         state.x_b.data.min() < 0.0
@@ -389,19 +367,13 @@ def derain_solve(
         or state.x_r.data.max() > 1.0
     ):
         raise ValidationError("initial layers must lie in [0, 1]")
-    trace = IterateTrace(method="dtlf", initial_F=derain_objective(y, state))
-    for k in range(params.max_iters):
-        new_state, rec = derain_step(y, state, denoisers, params, k)
-        num = math.hypot(
-            float(np.linalg.norm(new_state.x_b.data - state.x_b.data)),
-            float(np.linalg.norm(new_state.x_r.data - state.x_r.data)),
-        )
-        den = math.hypot(new_state.x_b.norm(), new_state.x_r.norm())
-        rec.rel_err = num / den if den > 0 else (0.0 if num == 0.0 else math.inf)
-        if ground_truth is not None:
-            rec.psnr = _psnr(new_state.x_b, ground_truth)
-        trace.append(rec)
-        state = new_state
-        if rec.rel_err <= params.rel_tol:
-            break
-    return state, trace
+    return iterate(
+        "dtlf",
+        state,
+        lambda st, k: derain_step(y, st, denoisers, params, k),
+        params,
+        derain_objective(y, state),
+        lambda st: st.x_b,
+        ground_truth,
+        _layers_change,
+    )

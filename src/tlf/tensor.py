@@ -302,22 +302,6 @@ class Composition(LinearOperator):
         return a
 
 
-def apply(op: LinearOperator, x: ImageTensor) -> ImageTensor:
-    return op.apply(x)
-
-
-def adjoint(op: LinearOperator, y: ImageTensor) -> ImageTensor:
-    return op.adjoint(y)
-
-
-def wavelet_forward(x: ImageTensor, levels=3) -> ImageTensor:
-    return WaveletForward(levels).apply(x)
-
-
-def wavelet_inverse(c: ImageTensor, levels=3) -> ImageTensor:
-    return WaveletInverse(levels).apply(c)
-
-
 def estimate_lipschitz(op: LinearOperator, shape, iters=50) -> float:
     """Power-iteration estimate of ||A^T A||_2 on images of the given shape.
 

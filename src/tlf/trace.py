@@ -1,18 +1,16 @@
-"""Per-iteration convergence records and their stable CSV serialization.
-
-Known method tags: pg, apg, mapg, tlf, dtlf (produced here), plus niapg and
-apgnc which are reserved for traces imported from external runs.
-"""
+"""Per-iteration convergence records and their stable CSV serialization."""
 
 import io
+import math
 from dataclasses import dataclass, field
-
-METHOD_TAGS = ("pg", "apg", "mapg", "tlf", "dtlf", "niapg", "apgnc")
 
 CSV_HEADER = "k,F,rel_err,norm_xF_x,norm_xG_x,norm_xGmu_x,alpha,mu,mdus_branch,bus_branch,psnr"
 
 MDUS_ACCEPTED = "accepted-v"
 MDUS_FALLBACK = "fell-back-xF"
+MDUS_KEPT = "kept-layers"  # derain only: both layers left unchanged
+# mdus_branch by the index of the point MDUS chose: v, then its fallbacks
+MDUS_BRANCHES = (MDUS_ACCEPTED, MDUS_FALLBACK, MDUS_KEPT)
 BUS_ACCEPTED = "accepted-z"
 BUS_FALLBACK = "fell-back-xG"
 BUS_NA = "not-applicable"
@@ -20,10 +18,12 @@ BUS_NA = "not-applicable"
 
 @dataclass
 class TraceRecord:
+    """One iteration; a solver step leaves rel_err to the iteration driver."""
+
     k: int
     F_value: float
-    rel_err: float
-    norm_xF_x: float
+    rel_err: float = math.nan
+    norm_xF_x: float = math.nan
     norm_xG_x: float | None = None
     norm_xGmu_x: float | None = None
     alpha: float | None = None

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from tlf.tensor import (
     WaveletInverse,
     estimate_lipschitz,
 )
+from tlf.trace import MDUS_BRANCHES, MDUS_KEPT
 
 
 class TestBuildDeblur:
@@ -204,6 +207,42 @@ class TestDerainSolve:
         values = [trace.initial_F] + trace.F_values()
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-10
+
+    def test_solve_equals_manual_steps(self):
+        y, xb_gt, _ = rain_fixture(seed=42, size=64)
+        params = derain_params(max_iters=3, rel_tol=0.0)
+        denoisers = derain_denoisers()
+        got, trace = derain_solve(y, None, denoisers, params, ground_truth=xb_gt)
+        state = derain_init(y, DerainWeights(), params)
+        records = []
+        for k in range(3):
+            state, rec = derain_step(y, state, denoisers, params, k)
+            records.append(rec)
+        for name in ("x_b", "x_r", "beta", "gamma"):
+            assert np.array_equal(getattr(got, name).data, getattr(state, name).data)
+        assert (got.eta1, got.eta2, got.alpha) == (state.eta1, state.eta2, state.alpha)
+        assert len(trace) == 3
+        for solved, stepped in zip(trace, records):
+            # derain_step leaves the change and the PSNR to the driver
+            assert math.isnan(stepped.rel_err) and stepped.psnr is None
+            assert solved.rel_err > 0.0 and solved.psnr is not None
+            assert (solved.F_value, solved.mdus_branch) == (stepped.F_value, stepped.mdus_branch)
+        assert trace.final().psnr == psnr(got.x_b, xb_gt)
+
+    def test_kept_layers_leave_layers_unchanged(self):
+        y, _, _ = rain_fixture(seed=42, size=64)
+        params = derain_params(max_iters=8, rel_tol=0.0)
+        state = derain_init(y, DerainWeights(), params)
+        kept = 0
+        for k in range(params.max_iters):
+            new, rec = derain_step(y, state, derain_denoisers(), params, k)
+            assert rec.mdus_branch in MDUS_BRANCHES
+            if rec.mdus_branch == MDUS_KEPT:
+                kept += 1
+                assert np.array_equal(new.x_b.data, state.x_b.data)
+                assert np.array_equal(new.x_r.data, state.x_r.data)
+            state = new
+        assert kept > 0
 
     def test_out_of_box_init_rejected(self):
         y = synthetic_scene(32)

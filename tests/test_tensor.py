@@ -13,11 +13,7 @@ from tlf.tensor import (
     Mask,
     WaveletForward,
     WaveletInverse,
-    adjoint,
-    apply,
     estimate_lipschitz,
-    wavelet_forward,
-    wavelet_inverse,
 )
 
 from conftest import random_image
@@ -73,7 +69,7 @@ class TestBlurKernel:
 class TestApply:
     def test_identity(self, rng):
         x = random_image(rng)
-        assert np.array_equal(apply(Identity(), x).data, x.data)
+        assert np.array_equal(Identity().apply(x).data, x.data)
 
     def test_all_ones_mask(self, rng):
         x = random_image(rng)
@@ -176,7 +172,7 @@ class TestWavelet:
     def test_constant_image(self):
         levels = 3
         c = 0.3
-        out = wavelet_forward(ImageTensor.full(16, 16, c), levels).data[0]
+        out = WaveletForward(levels).apply(ImageTensor.full(16, 16, c)).data[0]
         blk = 16 >> levels
         approx = out[:blk, :blk]
         details = out.copy()
@@ -186,17 +182,17 @@ class TestWavelet:
 
     def test_parseval(self, rng):
         x = random_image(rng, 32, 32)
-        c = wavelet_forward(x, 3)
+        c = WaveletForward(3).apply(x)
         assert abs(c.norm() - x.norm()) <= 1e-10 * x.norm()
 
     def test_roundtrip(self, rng):
         x = random_image(rng, 32, 32, c=3)
-        back = wavelet_inverse(wavelet_forward(x, 3), 3)
+        back = WaveletInverse(3).apply(WaveletForward(3).apply(x))
         assert np.abs(back.data - x.data).max() <= 1e-10
 
     def test_divisibility_error(self):
         with pytest.raises(ShapeError):
-            wavelet_forward(ImageTensor.zeros(12, 12), 3)
+            WaveletForward(3).apply(ImageTensor.zeros(12, 12))
 
 
 class TestEstimateLipschitz:
