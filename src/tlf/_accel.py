@@ -1,33 +1,8 @@
-"""Numba availability detection and the env switch for the fallback path.
+"""Compiled-kernel flags, both off: the package has only numpy kernels.
 
-Set TLF_NUMBA=0 (or "false"/"off") to force the pure-numpy kernels even when
-numba is installed.  The numba variants are still compiled on demand so the
-benchmark can time both paths side by side.
+The one reader is the end-to-end benchmark worker (``bench_e2e/worker.py``),
+which records these two fields in its run environment.
 """
 
-import os
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-
-def _env_enabled(name, default=True):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = HAVE_NUMBA and _env_enabled("TLF_NUMBA")
-
-
-def jit_kernel(fn):
-    """Compile ``fn`` with nopython numba when available, else return None."""
-    if not HAVE_NUMBA:
-        return None
-    return njit(cache=True)(fn)
+HAVE_NUMBA = False
+NUMBA_ENABLED = False

@@ -1,15 +1,12 @@
-"""Hot numeric kernels, each with a numba variant and a pure-numpy fallback.
+"""Hot numeric kernels in numpy, one implementation per operation.
 
-Every public entry point dispatches on the TLF_NUMBA switch (see _accel).
-The ``*_numpy`` fallbacks and the ``_nb`` compiled variants are kept
-importable either way so tests and the kernel benchmark can compare them.
+The image kernels (Haar analysis and synthesis, recursive smoothing) act on
+the last two axes, so one call covers a whole ``(C, H, W)`` channel stack.
 """
 
 import math
 
 import numpy as np
-
-from ._accel import NUMBA_ENABLED, jit_kernel
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -23,7 +20,7 @@ _TO_UNIT = 2.0 ** -53
 # lp thresholding, p = 1/2  (largest root of w^3 - m*w + tau/2 = 0, w = sqrt(u))
 # ---------------------------------------------------------------------------
 
-def prox_half_numpy(v, tau):
+def prox_half(v, tau):
     m = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = -(3.0 * math.sqrt(3.0) / 4.0) * tau * m ** -1.5
@@ -34,41 +31,11 @@ def prox_half_numpy(v, tau):
     return np.where((m > 0.0) & better, np.sign(v) * u, 0.0)
 
 
-def _prox_half_loop(v, tau, out):
-    c = -(3.0 * math.sqrt(3.0) / 4.0) * tau
-    for i in range(v.shape[0]):
-        m = abs(v[i])
-        if m <= 0.0:
-            out[i] = 0.0
-            continue
-        arg = c * m ** -1.5
-        if arg < -1.0:
-            arg = -1.0
-        theta = math.acos(arg)
-        u = (2.0 / 3.0) * m * (1.0 + math.cos((2.0 / 3.0) * theta))
-        if u > 0.0 and tau * math.sqrt(u) + 0.5 * (u - m) ** 2 < 0.5 * m * m:
-            out[i] = u if v[i] > 0.0 else -u
-        else:
-            out[i] = 0.0
-
-
-prox_half_nb = jit_kernel(_prox_half_loop)
-
-
-def prox_half(v, tau):
-    if NUMBA_ENABLED:
-        flat = np.ascontiguousarray(v, dtype=np.float64).ravel()
-        out = np.empty_like(flat)
-        prox_half_nb(flat, tau, out)
-        return out.reshape(v.shape)
-    return prox_half_numpy(v, tau)
-
-
 # ---------------------------------------------------------------------------
 # lp thresholding, p = 2/3  (quartic w^4 - m*w + 2*tau/3 = 0 via resolvent cubic)
 # ---------------------------------------------------------------------------
 
-def prox_twothirds_numpy(v, tau):
+def prox_twothirds(v, tau):
     m = np.abs(v)
     p = -8.0 * tau / 3.0  # resolvent cubic: s^3 + p*s - m^2 = 0
     disc = -4.0 * p ** 3 - 27.0 * m ** 4
@@ -90,219 +57,59 @@ def prox_twothirds_numpy(v, tau):
     return np.where(valid & better, np.sign(v) * u, 0.0)
 
 
-def _prox_twothirds_loop(v, tau, out):
-    p = -8.0 * tau / 3.0
-    for i in range(v.shape[0]):
-        m = abs(v[i])
-        if m <= 0.0:
-            out[i] = 0.0
-            continue
-        disc = -4.0 * p ** 3 - 27.0 * m ** 4
-        if disc >= 0.0:
-            trig_arg = -3.0 * m * m / (2.0 * p) * math.sqrt(-3.0 / p)
-            if trig_arg > 1.0:
-                trig_arg = 1.0
-            elif trig_arg < -1.0:
-                trig_arg = -1.0
-            s = 2.0 * math.sqrt(-p / 3.0) * math.cos(math.acos(trig_arg) / 3.0)
-        else:
-            rad = math.sqrt(max(m ** 4 / 4.0 + p ** 3 / 27.0, 0.0))
-            hi = m * m / 2.0 + rad
-            lo = m * m / 2.0 - rad
-            s = math.copysign(abs(hi) ** (1.0 / 3.0), hi) + math.copysign(
-                abs(lo) ** (1.0 / 3.0), lo
-            )
-        if s <= 0.0:
-            out[i] = 0.0
-            continue
-        a = math.sqrt(s)
-        quad = 2.0 * m / a - a * a
-        if quad < 0.0:
-            out[i] = 0.0
-            continue
-        w = 0.5 * (a + math.sqrt(quad))
-        u = w ** 3
-        if tau * w * w + 0.5 * (u - m) ** 2 < 0.5 * m * m:
-            out[i] = u if v[i] > 0.0 else -u
-        else:
-            out[i] = 0.0
-
-
-prox_twothirds_nb = jit_kernel(_prox_twothirds_loop)
-
-
-def prox_twothirds(v, tau):
-    if NUMBA_ENABLED:
-        flat = np.ascontiguousarray(v, dtype=np.float64).ravel()
-        out = np.empty_like(flat)
-        prox_twothirds_nb(flat, tau, out)
-        return out.reshape(v.shape)
-    return prox_twothirds_numpy(v, tau)
-
-
 # ---------------------------------------------------------------------------
 # orthonormal 2D Haar transform (multi-level, Mallat layout, in-place on copy)
 # ---------------------------------------------------------------------------
 
-def haar2_forward_numpy(x, levels):
-    out = x.astype(np.float64, copy=True)
-    h, w = out.shape
-    for _ in range(levels):
-        blk = out[:h, :w]
-        lo = (blk[:, 0::2] + blk[:, 1::2]) * _INV_SQRT2
-        hi = (blk[:, 0::2] - blk[:, 1::2]) * _INV_SQRT2
-        ll = (lo[0::2] + lo[1::2]) * _INV_SQRT2
-        vl = (lo[0::2] - lo[1::2]) * _INV_SQRT2
-        lh = (hi[0::2] + hi[1::2]) * _INV_SQRT2
-        hh = (hi[0::2] - hi[1::2]) * _INV_SQRT2
-        h2, w2 = h // 2, w // 2
-        out[:h2, :w2] = ll
-        out[:h2, w2:w] = lh
-        out[h2:h, :w2] = vl
-        out[h2:h, w2:w] = hh
-        h, w = h2, w2
-    return out
-
-
-def haar2_inverse_numpy(c, levels):
-    out = c.astype(np.float64, copy=True)
-    h0, w0 = out.shape
-    sizes = [(h0 >> k, w0 >> k) for k in range(levels)]
-    for h, w in reversed(sizes):
-        h2, w2 = h // 2, w // 2
-        ll = out[:h2, :w2]
-        lh = out[:h2, w2:w]
-        vl = out[h2:h, :w2]
-        hh = out[h2:h, w2:w]
-        lo = np.empty((h, w2))
-        hi = np.empty((h, w2))
-        lo[0::2] = (ll + vl) * _INV_SQRT2
-        lo[1::2] = (ll - vl) * _INV_SQRT2
-        hi[0::2] = (lh + hh) * _INV_SQRT2
-        hi[1::2] = (lh - hh) * _INV_SQRT2
-        blk = np.empty((h, w))
-        blk[:, 0::2] = (lo + hi) * _INV_SQRT2
-        blk[:, 1::2] = (lo - hi) * _INV_SQRT2
-        out[:h, :w] = blk
-    return out
-
-
-def _haar2_forward_loop(x, levels):
-    out = x.copy()
-    h, w = out.shape
-    scratch = np.empty_like(out)
-    for _ in range(levels):
-        h2, w2 = h // 2, w // 2
-        for i in range(h):
-            for j in range(w2):
-                a = out[i, 2 * j]
-                b = out[i, 2 * j + 1]
-                scratch[i, j] = (a + b) * _INV_SQRT2
-                scratch[i, j + w2] = (a - b) * _INV_SQRT2
-        for j in range(w):
-            for i in range(h2):
-                a = scratch[2 * i, j]
-                b = scratch[2 * i + 1, j]
-                out[i, j] = (a + b) * _INV_SQRT2
-                out[i + h2, j] = (a - b) * _INV_SQRT2
-        h, w = h2, w2
-    return out
-
-
-def _haar2_inverse_loop(c, levels):
-    out = c.copy()
-    h0, w0 = out.shape
-    scratch = np.empty_like(out)
-    for lvl in range(levels - 1, -1, -1):
-        h = h0 >> lvl
-        w = w0 >> lvl
-        h2, w2 = h // 2, w // 2
-        for j in range(w):
-            for i in range(h2):
-                a = out[i, j]
-                b = out[i + h2, j]
-                scratch[2 * i, j] = (a + b) * _INV_SQRT2
-                scratch[2 * i + 1, j] = (a - b) * _INV_SQRT2
-        for i in range(h):
-            for j in range(w2):
-                a = scratch[i, j]
-                b = scratch[i, j + w2]
-                out[i, 2 * j] = (a + b) * _INV_SQRT2
-                out[i, 2 * j + 1] = (a - b) * _INV_SQRT2
-    return out
-
-
-haar2_forward_nb = jit_kernel(_haar2_forward_loop)
-haar2_inverse_nb = jit_kernel(_haar2_inverse_loop)
-
-
 def haar2_forward(x, levels):
-    if NUMBA_ENABLED:
-        return haar2_forward_nb(np.ascontiguousarray(x, dtype=np.float64), levels)
-    return haar2_forward_numpy(x, levels)
+    out = x.astype(np.float64, copy=True)
+    h, w = out.shape[-2:]
+    for _ in range(levels):
+        blk = out[..., :h, :w]
+        lo = (blk[..., :, 0::2] + blk[..., :, 1::2]) * _INV_SQRT2
+        hi = (blk[..., :, 0::2] - blk[..., :, 1::2]) * _INV_SQRT2
+        ll = (lo[..., 0::2, :] + lo[..., 1::2, :]) * _INV_SQRT2
+        vl = (lo[..., 0::2, :] - lo[..., 1::2, :]) * _INV_SQRT2
+        lh = (hi[..., 0::2, :] + hi[..., 1::2, :]) * _INV_SQRT2
+        hh = (hi[..., 0::2, :] - hi[..., 1::2, :]) * _INV_SQRT2
+        h2, w2 = h // 2, w // 2
+        out[..., :h2, :w2] = ll
+        out[..., :h2, w2:w] = lh
+        out[..., h2:h, :w2] = vl
+        out[..., h2:h, w2:w] = hh
+        h, w = h2, w2
+    return out
 
 
 def haar2_inverse(c, levels):
-    if NUMBA_ENABLED:
-        return haar2_inverse_nb(np.ascontiguousarray(c, dtype=np.float64), levels)
-    return haar2_inverse_numpy(c, levels)
-
-
-# ---------------------------------------------------------------------------
-# direct spatial circular convolution (small-kernel path / FFT cross-check)
-# ---------------------------------------------------------------------------
-
-def conv2_circular_direct_numpy(x, taps):
-    kh, kw = taps.shape
-    ch, cw = kh // 2, kw // 2
-    out = np.zeros_like(x, dtype=np.float64)
-    for a in range(kh):
-        for b in range(kw):
-            out += taps[a, b] * np.roll(x, (a - ch, b - cw), axis=(0, 1))
+    out = c.astype(np.float64, copy=True)
+    lead = out.shape[:-2]
+    h0, w0 = out.shape[-2:]
+    sizes = [(h0 >> k, w0 >> k) for k in range(levels)]
+    for h, w in reversed(sizes):
+        h2, w2 = h // 2, w // 2
+        ll = out[..., :h2, :w2]
+        lh = out[..., :h2, w2:w]
+        vl = out[..., h2:h, :w2]
+        hh = out[..., h2:h, w2:w]
+        lo = np.empty(lead + (h, w2))
+        hi = np.empty(lead + (h, w2))
+        lo[..., 0::2, :] = (ll + vl) * _INV_SQRT2
+        lo[..., 1::2, :] = (ll - vl) * _INV_SQRT2
+        hi[..., 0::2, :] = (lh + hh) * _INV_SQRT2
+        hi[..., 1::2, :] = (lh - hh) * _INV_SQRT2
+        blk = np.empty(lead + (h, w))
+        blk[..., :, 0::2] = (lo + hi) * _INV_SQRT2
+        blk[..., :, 1::2] = (lo - hi) * _INV_SQRT2
+        out[..., :h, :w] = blk
     return out
-
-
-def _conv2_circular_direct_loop(x, taps):
-    # same (a, b) accumulation order as the numpy fallback, so both paths
-    # stay bit-identical; the wrap is a branch instead of a modulo
-    h, w = x.shape
-    kh, kw = taps.shape
-    ch, cw = kh // 2, kw // 2
-    out = np.zeros((h, w))
-    for a in range(kh):
-        di = a - ch
-        for b in range(kw):
-            dj = b - cw
-            t = taps[a, b]
-            for i in range(h):
-                ii = (i - di) % h
-                for j in range(w):
-                    jj = j - dj
-                    if jj >= w:
-                        jj -= w
-                    elif jj < 0:
-                        jj += w
-                    out[i, j] += t * x[ii, jj]
-    return out
-
-
-conv2_circular_direct_nb = jit_kernel(_conv2_circular_direct_loop)
-
-
-def conv2_circular_direct(x, taps):
-    if NUMBA_ENABLED:
-        return conv2_circular_direct_nb(
-            np.ascontiguousarray(x, dtype=np.float64),
-            np.ascontiguousarray(taps, dtype=np.float64),
-        )
-    return conv2_circular_direct_numpy(x, taps)
 
 
 # ---------------------------------------------------------------------------
 # seeded Gaussian noise: 64-bit LCG + Box-Muller (reproducible across builds)
 # ---------------------------------------------------------------------------
 
-def lcg_gaussian_numpy(seed, n):
+def lcg_gaussian(seed, n):
     out = np.empty(n, dtype=np.float64)
     state = seed & _U64_MASK
     i = 0
@@ -321,76 +128,20 @@ def lcg_gaussian_numpy(seed, n):
     return out
 
 
-def _lcg_gaussian_loop(seed, n):
-    out = np.empty(n, dtype=np.float64)
-    mult = np.uint64(LCG_MULT)
-    inc = np.uint64(LCG_INC)
-    state = np.uint64(seed)
-    i = 0
-    while i < n:
-        state = mult * state + inc
-        u1 = (np.float64(state >> np.uint64(11)) + 1.0) * _TO_UNIT
-        state = mult * state + inc
-        u2 = np.float64(state >> np.uint64(11)) * _TO_UNIT
-        r = math.sqrt(-2.0 * math.log(u1))
-        ang = 2.0 * math.pi * u2
-        out[i] = r * math.cos(ang)
-        i += 1
-        if i < n:
-            out[i] = r * math.sin(ang)
-            i += 1
-    return out
-
-
-lcg_gaussian_nb = jit_kernel(_lcg_gaussian_loop)
-
-
-def lcg_gaussian(seed, n):
-    if NUMBA_ENABLED:
-        return lcg_gaussian_nb(seed, n)
-    return lcg_gaussian_numpy(seed, n)
-
-
 # ---------------------------------------------------------------------------
 # forward-backward first-order recursive smoothing along both image axes
 # ---------------------------------------------------------------------------
 
-def smooth_recursive_numpy(x, a):
+def smooth_recursive(x, a):
     y = x.astype(np.float64, copy=True)
-    h, w = y.shape
+    h, w = y.shape[-2:]
     b = 1.0 - a
     for j in range(1, w):
-        y[:, j] = b * y[:, j] + a * y[:, j - 1]
+        y[..., :, j] = b * y[..., :, j] + a * y[..., :, j - 1]
     for j in range(w - 2, -1, -1):
-        y[:, j] = b * y[:, j] + a * y[:, j + 1]
+        y[..., :, j] = b * y[..., :, j] + a * y[..., :, j + 1]
     for i in range(1, h):
-        y[i, :] = b * y[i, :] + a * y[i - 1, :]
+        y[..., i, :] = b * y[..., i, :] + a * y[..., i - 1, :]
     for i in range(h - 2, -1, -1):
-        y[i, :] = b * y[i, :] + a * y[i + 1, :]
+        y[..., i, :] = b * y[..., i, :] + a * y[..., i + 1, :]
     return y
-
-
-def _smooth_recursive_loop(x, a):
-    y = x.copy()
-    h, w = y.shape
-    b = 1.0 - a
-    for i in range(h):
-        for j in range(1, w):
-            y[i, j] = b * y[i, j] + a * y[i, j - 1]
-        for j in range(w - 2, -1, -1):
-            y[i, j] = b * y[i, j] + a * y[i, j + 1]
-    for j in range(w):
-        for i in range(1, h):
-            y[i, j] = b * y[i, j] + a * y[i - 1, j]
-        for i in range(h - 2, -1, -1):
-            y[i, j] = b * y[i, j] + a * y[i + 1, j]
-    return y
-
-
-smooth_recursive_nb = jit_kernel(_smooth_recursive_loop)
-
-
-def smooth_recursive(x, a):
-    if NUMBA_ENABLED:
-        return smooth_recursive_nb(np.ascontiguousarray(x, dtype=np.float64), a)
-    return smooth_recursive_numpy(x, a)

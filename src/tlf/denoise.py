@@ -125,8 +125,7 @@ def denoise(spec: DenoiserSpec, x: ImageTensor, iter_index: int = 0) -> ImageTen
         return _tv_rof(x, strength)
     if spec.kind == "recursive-filter":
         a = float(np.exp(-1.0 / strength))
-        out = np.stack([smooth_recursive(x.data[c], a) for c in range(x.channels)])
-        return ImageTensor(out)
+        return ImageTensor(smooth_recursive(x.data, a))
     if spec.kind == "gaussian":
         return _gaussian_blur(x, strength)
     if spec.kind == "median":

@@ -35,6 +35,17 @@ def _read_pnm_tokens(raw, count):
     return tokens, i + 1  # payload starts after single whitespace byte
 
 
+def _positive_ints(tokens, what):
+    """Integer header fields that must each be > 0 (sizes, maxval)."""
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc
+    if min(values) <= 0:
+        raise FormatError(f"bad {what}: {values} must all be positive")
+    return values
+
+
 def read_image(path) -> ImageTensor:
     """Load PGM (P5), PPM (P6) or TLFT by magic; 8-bit values map to [0,1]."""
     with open(path, "rb") as fh:
@@ -44,7 +55,7 @@ def read_image(path) -> ImageTensor:
     if raw[:2] in (b"P5", b"P6"):
         channels = 1 if raw[:2] == b"P5" else 3
         tokens, offset = _read_pnm_tokens(raw, 4)
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        width, height, maxval = _positive_ints(tokens[1:], "PNM header")
         if maxval != 255:
             raise FormatError(f"only 8-bit PNM supported, maxval={maxval}")
         n = width * height * channels
@@ -106,8 +117,8 @@ def read_kernel(path, normalize=True) -> BlurKernel:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise FormatError("kernel file missing size line")
+    kh, kw = _positive_ints(tokens[:2], "kernel size line")
     try:
-        kh, kw = int(tokens[0]), int(tokens[1])
         taps = np.array([float(t) for t in tokens[2:]], dtype=np.float64)
     except ValueError as exc:
         raise FormatError(f"bad kernel file: {exc}") from exc

@@ -260,10 +260,10 @@ class WaveletForward(LinearOperator):
         return a
 
     def _apply(self, a):
-        return np.stack([_kernels.haar2_forward(a[c], self.levels) for c in range(a.shape[0])])
+        return _kernels.haar2_forward(a, self.levels)
 
     def _adjoint(self, a):
-        return np.stack([_kernels.haar2_inverse(a[c], self.levels) for c in range(a.shape[0])])
+        return _kernels.haar2_inverse(a, self.levels)
 
 
 class WaveletInverse(LinearOperator):

@@ -15,6 +15,22 @@ def random_image(rng, h=16, w=16, c=1, lo=0.0, hi=1.0):
     return ImageTensor(rng.uniform(lo, hi, size=(c, h, w)))
 
 
+def naive_circ_conv(x, taps):
+    """Brute-force circular convolution oracle, plain Python loops."""
+    h, w = x.shape
+    kh, kw = taps.shape
+    ch, cw = kh // 2, kw // 2
+    out = np.zeros((h, w))
+    for i in range(h):
+        for j in range(w):
+            acc = 0.0
+            for a in range(kh):
+                for b in range(kw):
+                    acc += taps[a, b] * x[(i - a + ch) % h, (j - b + cw) % w]
+            out[i, j] = acc
+    return out
+
+
 # request layout: magic(4) h(4) w(4) c(4) hint(4) payload; reply omits hint
 _DOUBLE_TEMPLATE = r"""
 import struct, sys

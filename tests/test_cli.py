@@ -54,6 +54,11 @@ class TestExitCodes:
         cfg.write_text("bogus_key = 1\n")
         assert run_cli(["deblur", "--config", cfg, "--input", "x"]) == 1
 
+    def test_malformed_pnm_header(self, tmp_path):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\nabc 4\n255\n" + bytes(16))
+        assert run_cli(["deblur", "--input", bad, "--out", tmp_path / "o"]) == 2
+
     def test_inpaint_needs_mask(self, deblur_files):
         code = run_cli(
             ["inpaint", "--input", deblur_files / "blurry.tlft", "--out", deblur_files / "o"]

@@ -1,74 +1,22 @@
-"""Equivalence of the numba kernels and their pure-numpy fallbacks."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels: a pinned prox value and channel-stack calls."""
 
 import numpy as np
-import pytest
 
 from tlf import _kernels as K
-from tlf._accel import HAVE_NUMBA
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
 
 
-@needs_numba
-class TestPathEquivalence:
-    def test_prox_half(self, rng):
-        v = rng.uniform(-2, 2, size=512)
-        for tau in (1e-3, 0.1, 1.0):
-            out = np.empty_like(v)
-            K.prox_half_nb(v, tau, out)
-            ref = K.prox_half_numpy(v, tau)
-            assert np.allclose(out, ref, atol=1e-12)
-
-    def test_prox_twothirds(self, rng):
-        v = rng.uniform(-2, 2, size=512)
-        for tau in (1e-3, 0.1, 1.0):
-            out = np.empty_like(v)
-            K.prox_twothirds_nb(v, tau, out)
-            ref = K.prox_twothirds_numpy(v, tau)
-            assert np.allclose(out, ref, atol=1e-12)
-
-    def test_haar_bit_identical(self, rng):
-        x = rng.standard_normal((32, 32))
-        fwd_nb = K.haar2_forward_nb(x, 3)
-        fwd_np = K.haar2_forward_numpy(x, 3)
-        assert np.array_equal(fwd_nb, fwd_np)
-        assert np.array_equal(K.haar2_inverse_nb(fwd_nb, 3), K.haar2_inverse_numpy(fwd_np, 3))
-
-    def test_conv_direct_bit_identical(self, rng):
-        x = rng.standard_normal((12, 15))
-        taps = rng.standard_normal((5, 3))
-        assert np.array_equal(
-            K.conv2_circular_direct_nb(x, taps),
-            K.conv2_circular_direct_numpy(x, taps),
-        )
-
-    def test_lcg_gaussian(self):
-        assert np.allclose(
-            K.lcg_gaussian_nb(123, 256), K.lcg_gaussian_numpy(123, 256), atol=1e-12
-        )
-
-    def test_smooth_recursive_bit_identical(self, rng):
-        x = rng.standard_normal((16, 16))
-        assert np.array_equal(
-            K.smooth_recursive_nb(x, 0.6), K.smooth_recursive_numpy(x, 0.6)
-        )
+def test_prox_half_pinned_value():
+    out = K.prox_half(np.array([1.0]), 0.1)
+    assert abs(float(out[0]) - 0.9486650001264152) < 1e-12
 
 
-def test_env_flag_forces_numpy_path():
-    code = (
-        "import tlf._accel as a, tlf._kernels as k\n"
-        "assert not a.NUMBA_ENABLED\n"
-        "import numpy as np\n"
-        "out = k.prox_half(np.array([1.0]), 0.1)\n"
-        "print(float(out[0]))\n"
+def test_stack_calls_equal_per_channel_calls(rng):
+    x = rng.standard_normal((3, 16, 24))
+    kernels = (
+        lambda a: K.haar2_forward(a, 3),
+        lambda a: K.haar2_inverse(a, 3),
+        lambda a: K.smooth_recursive(a, 0.6),
     )
-    env = dict(os.environ, TLF_NUMBA="0")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert abs(float(proc.stdout.strip()) - 0.9486650001264152) < 1e-12
+    for kernel in kernels:
+        want = np.stack([kernel(x[c]) for c in range(3)])
+        assert np.array_equal(kernel(x), want)

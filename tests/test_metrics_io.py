@@ -160,9 +160,16 @@ class TestFormats:
 
     def test_unknown_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"JUNKJUNKJUNK")
-        with pytest.raises(FormatError):
-            read_image(path)
+        bad_headers = (
+            b"JUNKJUNKJUNK",
+            b"P5\nabc 4\n255\n" + bytes(16),
+            b"P5\n-1 -1\n255\n" + bytes(1),
+            b"P5\n0 4\n255\n",
+        )
+        for raw in bad_headers:
+            path.write_bytes(raw)
+            with pytest.raises(FormatError):
+                read_image(path)
 
     def test_kernel_roundtrip(self, tmp_path, rng):
         k = BlurKernel.gaussian(5, 1.1)
@@ -173,9 +180,10 @@ class TestFormats:
 
     def test_kernel_bad_count(self, tmp_path):
         path = tmp_path / "k.txt"
-        path.write_text("3 3\n1 2 3 4\n")
-        with pytest.raises(FormatError):
-            read_kernel(path)
+        for text in ("3 3\n1 2 3 4\n", "-1 -1\n1\n", "0 0\n", "x 3\n1 2 3\n"):
+            path.write_text(text)
+            with pytest.raises(FormatError):
+                read_kernel(path)
 
     def test_mask_roundtrip(self, tmp_path, rng):
         mask = (rng.uniform(size=(8, 8)) > 0.4).astype(float)

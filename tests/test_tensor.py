@@ -16,23 +16,7 @@ from tlf.tensor import (
     estimate_lipschitz,
 )
 
-from conftest import random_image
-
-
-def naive_circ_conv(x, taps):
-    """Brute-force circular convolution oracle, plain Python loops."""
-    h, w = x.shape
-    kh, kw = taps.shape
-    ch, cw = kh // 2, kw // 2
-    out = np.zeros((h, w))
-    for i in range(h):
-        for j in range(w):
-            acc = 0.0
-            for a in range(kh):
-                for b in range(kw):
-                    acc += taps[a, b] * x[(i - a + ch) % h, (j - b + cw) % w]
-            out[i, j] = acc
-    return out
+from conftest import naive_circ_conv, random_image
 
 
 class TestImageTensor:
@@ -108,14 +92,6 @@ class TestApply:
             got = method(x).data
             want = np.stack([method(ImageTensor(x.data[c])).data[0] for c in range(3)])
             assert np.array_equal(got, want)
-
-    def test_direct_kernel_matches_naive(self, rng):
-        from tlf._kernels import conv2_circular_direct
-
-        x = rng.standard_normal((11, 13))
-        taps = rng.standard_normal((5, 3))
-        got = conv2_circular_direct(x, taps)
-        assert np.abs(got - naive_circ_conv(x, taps)).max() <= 1e-12
 
 
 class TestAdjoint:
