@@ -13,6 +13,8 @@ import timeit
 import numpy as np
 
 from tlf import _kernels as K
+from tlf.feasibility import FeasibilityModel, _normal_operator
+from tlf.tensor import ImageTensor, Mask, wrap_diff
 
 
 def time_call(fn, repeats):
@@ -30,6 +32,15 @@ def main():
     rng = np.random.default_rng(0)
     flat = rng.uniform(-2.0, 2.0, size=n * n)
     img = rng.standard_normal((n, n))
+    # one CG matvec of the inpaint x-subproblem: mask, both TV terms, mu = 0
+    model = FeasibilityModel(
+        data_op=Mask((rng.uniform(size=(n, n)) > 0.4).astype(float)),
+        observation=ImageTensor(img),
+        tv_weight=2e-2,
+        x_solver="cg",
+    )
+    matvec = _normal_operator(model, 0.0)
+    v = img[None, :, :]
 
     cases = [
         ("prox p=1/2", lambda: K.prox_half(flat, 0.1)),
@@ -38,6 +49,11 @@ def main():
         ("haar inv 3-level", lambda: K.haar2_inverse(img, 3)),
         ("lcg gaussian", lambda: K.lcg_gaussian(7, n * n)),
         ("recursive smooth", lambda: K.smooth_recursive(img, 0.6)),
+        ("wrap diff w fwd", lambda: wrap_diff(v, -1, forward=True)),
+        ("wrap diff w bwd", lambda: wrap_diff(v, -1, forward=False)),
+        ("wrap diff h fwd", lambda: wrap_diff(v, -2, forward=True)),
+        ("wrap diff h bwd", lambda: wrap_diff(v, -2, forward=False)),
+        ("cg normal matvec", lambda: matvec(v)),
     ]
 
     print(f"kernel benchmark, size {n} ({n * n} elements), best of {args.repeats}\n")

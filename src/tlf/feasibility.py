@@ -14,6 +14,7 @@ conjugate gradient otherwise (mask operators for inpainting).
 """
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .tensor import (
     Identity,
     ImageTensor,
     LinearOperator,
+    wrap_diff,
 )
 
 _GH = GradientH()
@@ -68,6 +70,10 @@ class FeasibilityModel:
             raise ConfigError(f"unknown x_solver {self.x_solver!r}")
         if self.x_solver == "fft" and not _is_circulant(self.data_op):
             raise ConfigError("fft x-solver requires a circulant data operator")
+        if not (math.isfinite(self.cg_tol) and self.cg_tol > 0):
+            raise ConfigError(f"cg_tol must be finite and > 0, got {self.cg_tol!r}")
+        if self.cg_max_iters < 1:
+            raise ConfigError("cg_max_iters must be >= 1")
         self._check_anchor()
         object.__setattr__(self, "ktb", self.data_op._adjoint(self.observation.data))
         object.__setattr__(self, "fft_base", _fft_base(self) if self.x_solver == "fft" else None)
@@ -114,12 +120,18 @@ def _fft_solve(model, rhs, mu):
 
 
 def _cg_solve(matvec, rhs, x0, tol, max_iters):
+    """Warm-started CG on matvec(x) = rhs, to relative residual ``tol``.
+
+    ``matvec`` may return the same buffer on every call, so its result is
+    used up before the next call. x, r and p are updated in place.
+    """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
     x = x0.copy()
     r = rhs - matvec(x)
     p = r.copy()
+    tmp = np.empty_like(r)
     rs = float(np.vdot(r, r).real)
     for it in range(max_iters):
         if np.sqrt(rs) <= 0.5 * tol * rhs_norm:
@@ -129,18 +141,49 @@ def _cg_solve(matvec, rhs, x0, tol, max_iters):
         if pap <= 0.0:
             break
         a = rs / pap
-        x += a * p
-        r -= a * ap
+        np.multiply(p, a, out=tmp)
+        x += tmp
+        np.multiply(ap, a, out=tmp)
+        r -= tmp
         rs_new = float(np.vdot(r, r).real)
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        np.add(r, p, out=p)
         rs = rs_new
     true_res = float(np.linalg.norm(rhs - matvec(x))) / rhs_norm
-    if true_res > tol:
+    if not true_res <= tol:  # a NaN residual is a stall too
         raise NumericalError(
             f"CG stalled at relative residual {true_res:.3e} > {tol:.3e}",
             residual=true_res,
         )
     return x
+
+
+def _normal_operator(model, mu):
+    """v -> (K^T K + 2 rho_h G_h^T G_h + 2 rho_v G_v^T G_v + mu I) v for CG.
+
+    Each element goes through the same IEEE operations, in the same order, as
+    composing the operators, so CG iterates do not change. The buffers belong
+    to the returned function; it returns the same one on every call. Build one
+    per solve: threads may share a model.
+    """
+    k_op = model.data_op
+    rh, rv = model.hqs_rho
+    tv_terms = ((-1, 2.0 * rh), (-2, 2.0 * rv))  # (axis, weight): G_h, then G_v
+    out, g, gg = (np.empty(model.observation.shape) for _ in range(3))
+
+    def matvec(v):
+        # K^T K v may be v itself (Identity): copy it, never add into it.
+        np.copyto(out, k_op._adjoint(k_op._apply(v)))
+        for axis, weight in tv_terms:
+            wrap_diff(wrap_diff(v, axis, True, out=g), axis, False, out=gg)
+            np.multiply(gg, weight, out=gg)
+            np.add(out, gg, out=out)
+        if mu > 0.0:
+            np.multiply(v, mu, out=gg)
+            np.add(out, gg, out=out)
+        return out
+
+    return matvec
 
 
 def hqs_energy(model: FeasibilityModel, x, zh, zv) -> float:
@@ -160,7 +203,6 @@ def hqs_energy(model: FeasibilityModel, x, zh, zv) -> float:
 
 
 def _hqs(model: FeasibilityModel, x_init: ImageTensor, energy_log=None, aux=None):
-    k_op = model.data_op
     b = model.observation.data
     if x_init.shape != b.shape:
         raise ConfigError("x_init shape differs from observation")
@@ -177,13 +219,7 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, energy_log=None, aux=None
     if energy_log is not None:
         energy_log.append(hqs_energy(model, x, _GH._apply(x), _GV._apply(x)))
 
-    def matvec(v):
-        out = k_op._adjoint(k_op._apply(v))
-        out += 2.0 * rh * _GH._adjoint(_GH._apply(v))
-        out += 2.0 * rv * _GV._adjoint(_GV._apply(v))
-        if mu > 0.0:
-            out += mu * v
-        return out
+    matvec = _normal_operator(model, mu) if model.x_solver == "cg" else None
 
     for _ in range(model.hqs_iters):
         zh = prox_lp_array(_GH._apply(x), spec_h)

@@ -65,6 +65,23 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_bad_cg_tol(self, tmp_path, tol):
+        _, mask, observed = inpaint_fixture(seed=5, size=16)
+        write_tlft(tmp_path / "obs.tlft", observed)
+        write_mask(tmp_path / "mask.pgm", mask)
+        code = run_cli(
+            [
+                "inpaint",
+                "--input", tmp_path / "obs.tlft",
+                "--mask", tmp_path / "mask.pgm",
+                "--levels", "2",
+                "--cg-tol", tol,
+                "--out", tmp_path / "o",
+            ]
+        )
+        assert code == 1
+
 
 class TestBench:
     def test_identity_no_reg_hits_cap(self, tmp_path):

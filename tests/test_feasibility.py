@@ -1,8 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from tlf.errors import ConfigError, NumericalError, ValidationError
-from tlf.feasibility import FeasibilityModel, hqs_energy, solve_G, solve_G_mu
+from tlf.feasibility import FeasibilityModel, _normal_operator, hqs_energy, solve_G, solve_G_mu
+from tlf.fixtures import INPAINT_WEIGHTS, inpaint_fixture
+from tlf.tasks import build_inpaint
 from tlf.tensor import (
     BlurKernel,
     CircularConvolution,
@@ -50,6 +55,13 @@ class TestModelValidation:
     def test_bad_rho(self, rng):
         with pytest.raises(ConfigError):
             blur_model(rng, hqs_rho=(0.0, 0.1))
+
+    def test_bad_cg_settings(self, rng):
+        bad = [{"cg_tol": t} for t in (float("nan"), float("inf"), 0.0, -1e-8)]
+        bad += [{"cg_max_iters": n} for n in (0, -3)]
+        for kw in bad:
+            with pytest.raises(ConfigError):
+                blur_model(rng, x_solver="cg", **kw)
 
     def test_anchor_preconditions(self, rng):
         model = blur_model(rng)
@@ -154,6 +166,52 @@ class TestSolveG:
         with pytest.raises(NumericalError) as err:
             solve_G(model, ImageTensor.zeros(16, 16))
         assert err.value.residual is not None and err.value.residual > 1e-12
+
+
+class TestNormalOperator:
+    """The CG matvec equals the composed operators bit for bit."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("data_op", ["mask", "identity", "conv"])
+    def test_equal_to_oracle(self, rng, data_op, channels):
+        h, w = 12, 16
+        make = {
+            "mask": lambda: Mask((rng.uniform(size=(h, w)) > 0.4).astype(float)),
+            "identity": Identity,
+            "conv": lambda: CircularConvolution(BlurKernel.gaussian(5, 1.2)),
+        }[data_op]
+        model = FeasibilityModel(
+            data_op=make(),
+            observation=random_image(rng, h, w, c=channels),
+            tv_weight=5e-3,
+            hqs_rho=(0.05, 0.08),
+            x_solver="cg",
+        )
+        for mu in (0.0, 0.7):
+            matvec = _normal_operator(model, mu)
+            for _ in range(2):  # the second call reuses the first call's buffers
+                v = rng.standard_normal((channels, h, w))
+                before = v.copy()
+                assert np.array_equal(matvec(v), normal_apply(model, v, mu))
+                assert np.array_equal(v, before)
+
+
+class TestSharedModel:
+    def test_threads_share_one_cg_model(self):
+        gt, mask, observed = inpaint_fixture(seed=5, size=32)
+        _, model = build_inpaint(observed, mask, **INPAINT_WEIGHTS)
+        jobs = [(solve_G, model), (solve_G_mu, model.with_anchor(gt, 0.5))] * 2
+        want = [solve(m, observed).data for solve, m in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(solve, m, observed) for solve, m in jobs]
+                got = [f.result(timeout=120).data for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestSolveGMu:

@@ -14,6 +14,7 @@ from tlf.tensor import (
     WaveletForward,
     WaveletInverse,
     estimate_lipschitz,
+    wrap_diff,
 )
 
 from conftest import naive_circ_conv, random_image
@@ -92,6 +93,36 @@ class TestApply:
             got = method(x).data
             want = np.stack([method(ImageTensor(x.data[c])).data[0] for c in range(3)])
             assert np.array_equal(got, want)
+
+
+class TestGradientKernels:
+    """The wrap-around differences equal the np.roll form bit for bit."""
+
+    @staticmethod
+    def arrays(rng):
+        yield rng.standard_normal((1, 9, 9))
+        yield rng.standard_normal((3, 9, 9))
+        yield rng.standard_normal((3, 5, 12))  # non-square
+        yield rng.standard_normal((3, 12, 10))[:, ::2, 1::3]  # non-contiguous view
+        yield rng.standard_normal((2, 1, 7))  # H = 1
+        yield rng.standard_normal((1, 7, 1))  # W = 1
+
+    def test_equal_to_roll_differences(self, rng):
+        for a in self.arrays(rng):
+            before = a.copy()
+            assert np.array_equal(GradientH()._apply(a), np.roll(a, -1, axis=2) - a)
+            assert np.array_equal(GradientH()._adjoint(a), np.roll(a, 1, axis=2) - a)
+            assert np.array_equal(GradientV()._apply(a), np.roll(a, -1, axis=1) - a)
+            assert np.array_equal(GradientV()._adjoint(a), np.roll(a, 1, axis=1) - a)
+            assert np.array_equal(a, before)
+
+    def test_out_buffer_fully_written(self, rng):
+        for a in self.arrays(rng):
+            for axis, shift in ((-1, -1), (-1, 1), (-2, -1), (-2, 1)):
+                out = np.full(a.shape, np.nan)
+                got = wrap_diff(a, axis, forward=shift == -1, out=out)
+                assert got is out
+                assert np.array_equal(out, np.roll(a, shift, axis=axis) - a)
 
 
 class TestAdjoint:
