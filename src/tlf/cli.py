@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS, ExperimentConfig, format_defaults, read_config_file
+from .config import DEFAULTS, TASKS, ExperimentConfig, format_defaults, read_config_file
 from .denoise import DenoiserSpec
 from .engine import dtlf_solve, tlf_solve
 from .errors import (
@@ -29,12 +29,20 @@ from .metrics import psnr, ssim
 from .noise import add_gaussian_noise
 from .problem import SolverParams, solve_baseline
 from .tasks import DerainWeights, build_deblur, build_inpaint, derain_solve
-from .tensor import BlurKernel
+from .tensor import BlurKernel, CircularConvolution
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
+
+
+# Every config key but task is a flag: --key-name, except for these.
+_FLAG_NAMES = {"noise_percent": "--noise"}
+_FLAG_HELP = {
+    "solver": "pg|apg|mapg|tlf|dtlf (bench: comma list)",
+    "denoiser": "kind[:strength[,s1,...]]",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,6 +69,20 @@ def _denoiser_spec(cfg: ExperimentConfig) -> DenoiserSpec:
             kind="external", command=cfg.external_denoiser, strength=cfg.denoiser_hint
         )
     return DenoiserSpec.parse(cfg.denoiser)
+
+
+def _deblur_problem(cfg, blurry, kernel):
+    """Add the configured noise to ``blurry`` and build the deblur problem.
+
+    Returns the noisy observation with the problem and feasibility model.
+    """
+    if cfg.noise_percent > 0:
+        blurry = add_gaussian_noise(blurry, cfg.noise_percent, cfg.seed)
+    prob, feas = build_deblur(
+        blurry, kernel, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
+        levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
+    )
+    return blurry, prob, feas
 
 
 def _write_summary(path, entries):
@@ -105,12 +127,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         blurry = read_image(cfg.input)
         kernel = read_kernel(cfg.kernel) if cfg.kernel else BlurKernel.delta()
         gt = read_image(cfg.gt) if cfg.gt else None
-        if cfg.noise_percent > 0:
-            blurry = add_gaussian_noise(blurry, cfg.noise_percent, cfg.seed)
-        prob, feas = build_deblur(
-            blurry, kernel, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
-            levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
-        )
+        _, prob, feas = _deblur_problem(cfg, blurry, kernel)
         _run_composite(cfg, cfg.solver_list()[0], prob, feas, gt, out_root)
         return EXIT_OK
 
@@ -170,15 +187,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     # bench: degrade a clean input, run the requested solvers, compare PSNR
     clean = read_image(cfg.input)
     kernel = read_kernel(cfg.kernel) if cfg.kernel else BlurKernel.delta()
-    from .tensor import CircularConvolution
-
-    degraded = CircularConvolution(kernel).apply(clean)
-    if cfg.noise_percent > 0:
-        degraded = add_gaussian_noise(degraded, cfg.noise_percent, cfg.seed)
-    prob, feas = build_deblur(
-        degraded, kernel, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
-        levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
-    )
+    degraded, prob, feas = _deblur_problem(cfg, CircularConvolution(kernel).apply(clean), kernel)
     solvers = cfg.solver_list()
 
     def one(solver):
@@ -204,43 +213,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     common = _Parser(add_help=False)
     common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--input", default=None)
-    common.add_argument("--kernel", default=None)
-    common.add_argument("--mask", default=None)
-    common.add_argument("--gt", default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--solver", default=None, help="pg|apg|mapg|tlf|dtlf (bench: comma list)")
-    common.add_argument("--max-iters", dest="max_iters", default=None)
-    common.add_argument("--rel-tol", dest="rel_tol", default=None)
-    common.add_argument("--seed", default=None)
-    common.add_argument("--step", default=None)
-    common.add_argument("--alpha0", default=None)
-    common.add_argument("--gamma", default=None)
-    common.add_argument("--mu0", default=None)
-    common.add_argument("--beta", default=None)
-    common.add_argument("--bus-c", dest="bus_c", default=None)
-    common.add_argument("--lambda1", default=None)
-    common.add_argument("--lambda2", default=None)
-    common.add_argument("--p", default=None)
-    common.add_argument("--q", default=None)
-    common.add_argument("--nu1", default=None)
-    common.add_argument("--nu2", default=None)
-    common.add_argument("--rho1", default=None)
-    common.add_argument("--rho2", default=None)
-    common.add_argument("--recon-weight", dest="recon_weight", default=None)
-    common.add_argument("--p1", default=None)
-    common.add_argument("--p2", default=None)
-    common.add_argument("--levels", default=None)
-    common.add_argument("--hqs-rho", dest="hqs_rho", default=None)
-    common.add_argument("--hqs-iters", dest="hqs_iters", default=None)
-    common.add_argument("--cg-tol", dest="cg_tol", default=None)
-    common.add_argument("--denoiser", default=None, help="kind[:strength[,s1,...]]")
-    common.add_argument("--denoiser-rain", dest="denoiser_rain", default=None)
-    common.add_argument("--external-denoiser", dest="external_denoiser", default=None)
-    common.add_argument("--denoiser-hint", dest="denoiser_hint", default=None)
-    common.add_argument("--noise", dest="noise_percent", default=None)
-    common.add_argument("--jobs", default=None)
-    for task in ("deblur", "inpaint", "derain", "bench"):
+    for key in DEFAULTS:
+        if key != "task":  # the subcommand
+            flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+            common.add_argument(flag, dest=key, default=None, help=_FLAG_HELP.get(key))
+    for task in TASKS:
         sub.add_parser(task, parents=[common])
     sub.add_parser("defaults")
     return parser

@@ -1,114 +1,58 @@
-"""Experiment configuration: defaults, flat key=value files, CLI overrides."""
+"""Experiment configuration: defaults, flat key=value files, CLI overrides.
 
-from dataclasses import dataclass
+``ExperimentConfig`` is the one schema: each field is a config key, its
+default is the key's default and the default's type is the key's parse type.
+"""
+
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-
-# Tuned once on the 64x64 synthetic deblur scene and frozen.
-DEFAULTS = {
-    "task": "deblur",
-    "input": "",
-    "kernel": "",
-    "mask": "",
-    "gt": "",
-    "out": "out",
-    "solver": "tlf",
-    "max_iters": 500,
-    "rel_tol": 5e-4,
-    "seed": 42,
-    "step": 0.0,  # 0 -> 0.99 / L
-    "alpha0": 0.9,
-    "gamma": 0.99,
-    "mu0": 1.0,
-    "beta": 0.5,
-    "bus_c": 1.5,
-    "lambda1": 5e-4,
-    "lambda2": 2e-3,
-    "p": 1.0,
-    "q": 1.0,
-    "nu1": 1e-3,
-    "nu2": 5e-3,
-    "rho1": 0.02,
-    "rho2": 0.05,
-    "recon_weight": 0.1,
-    "p1": 1.0,
-    "p2": 1.0,
-    "levels": 3,
-    "hqs_rho": 0.05,
-    "hqs_iters": 10,
-    "cg_tol": 1e-8,
-    "denoiser": "tv-rof:0.002",
-    "denoiser_rain": "wavelet-shrink:0.01",
-    "external_denoiser": "",
-    "denoiser_hint": 1.0,
-    "noise_percent": 0.0,
-    "jobs": 1,
-}
-
-_INT_KEYS = {"max_iters", "seed", "levels", "hqs_iters", "jobs"}
-_FLOAT_KEYS = {
-    "rel_tol", "step", "alpha0", "gamma", "mu0", "beta", "bus_c",
-    "lambda1", "lambda2", "p", "q", "nu1", "nu2", "rho1", "rho2",
-    "p1", "p2", "recon_weight", "hqs_rho", "cg_tol", "denoiser_hint", "noise_percent",
-}
 
 TASKS = ("deblur", "inpaint", "derain", "bench")
 SOLVERS = ("pg", "apg", "mapg", "tlf", "dtlf")
 
 
-def parse_number(key, raw):
-    """Parse ints/floats, accepting fraction strings like '2/3' for exponents."""
-    text = str(raw).strip()
-    try:
-        if key in _INT_KEYS:
-            return int(text)
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return float(num) / float(den)
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-
+# Tuned once on the 64x64 synthetic deblur scene and frozen.
 @dataclass
 class ExperimentConfig:
-    task: str
-    input: str
-    kernel: str
-    mask: str
-    gt: str
-    out: str
-    solver: str
-    max_iters: int
-    rel_tol: float
-    seed: int
-    step: float
-    alpha0: float
-    gamma: float
-    mu0: float
-    beta: float
-    bus_c: float
-    lambda1: float
-    lambda2: float
-    p: float
-    q: float
-    nu1: float
-    nu2: float
-    rho1: float
-    rho2: float
-    recon_weight: float
-    p1: float
-    p2: float
-    levels: int
-    hqs_rho: float
-    hqs_iters: int
-    cg_tol: float
-    denoiser: str
-    denoiser_rain: str
-    external_denoiser: str
-    denoiser_hint: float
-    noise_percent: float
-    jobs: int
+    task: str = "deblur"
+    input: str = ""
+    kernel: str = ""
+    mask: str = ""
+    gt: str = ""
+    out: str = "out"
+    solver: str = "tlf"
+    max_iters: int = 500
+    rel_tol: float = 5e-4
+    seed: int = 42
+    step: float = 0.0  # 0 -> 0.99 / L
+    alpha0: float = 0.9
+    gamma: float = 0.99
+    mu0: float = 1.0
+    beta: float = 0.5
+    bus_c: float = 1.5
+    lambda1: float = 5e-4
+    lambda2: float = 2e-3
+    p: float = 1.0
+    q: float = 1.0
+    nu1: float = 1e-3
+    nu2: float = 5e-3
+    rho1: float = 0.02
+    rho2: float = 0.05
+    recon_weight: float = 0.1
+    p1: float = 1.0
+    p2: float = 1.0
+    levels: int = 3
+    hqs_rho: float = 0.05
+    hqs_iters: int = 10
+    cg_tol: float = 1e-8
+    denoiser: str = "tv-rof:0.002"
+    denoiser_rain: str = "wavelet-shrink:0.01"
+    external_denoiser: str = ""
+    denoiser_hint: float = 1.0
+    noise_percent: float = 0.0
+    jobs: int = 1
 
     @classmethod
     def from_mappings(cls, *layers):
@@ -120,10 +64,10 @@ class ExperimentConfig:
                     continue
                 if key not in DEFAULTS:
                     raise ConfigError(f"unknown config key {key!r}")
-                if key in _INT_KEYS or key in _FLOAT_KEYS:
-                    merged[key] = parse_number(key, value)
-                else:
+                if isinstance(DEFAULTS[key], str):
                     merged[key] = str(value)
+                else:
+                    merged[key] = parse_number(key, value)
         cfg = cls(**merged)
         cfg.validate()
         return cfg
@@ -131,18 +75,46 @@ class ExperimentConfig:
     def validate(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        for name in self.solver.split(","):
-            if name.strip() not in SOLVERS:
+        for name in self.solver_list():
+            if name not in SOLVERS:
                 raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVERS}")
+        if self.task != "bench" and len(self.solver_list()) > 1:
+            raise ConfigError(f"{self.task} runs one solver; only bench takes a comma list")
         if not self.input:
             raise ConfigError("input image path is required")
         if self.task == "inpaint" and not self.mask:
             raise ConfigError("inpaint task requires a mask")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if not self.cg_tol > 0:
+            raise ConfigError(f"cg_tol must be > 0, got {self.cg_tol}")
+        if not self.noise_percent >= 0:
+            raise ConfigError(f"noise_percent must be >= 0, got {self.noise_percent}")
 
     def solver_list(self):
         return [s.strip() for s in self.solver.split(",")]
+
+
+DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def parse_number(key, raw):
+    """Parse a number of the key's default type; floats accept fraction
+    strings like '2/3' for exponents and must be finite."""
+    text = str(raw).strip()
+    try:
+        if isinstance(DEFAULTS[key], int):
+            return int(text)
+        if "/" in text:
+            num, den = text.split("/", 1)
+            value = float(num) / float(den)
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"bad value for {key}: {raw!r} is not finite")
+    return value
 
 
 def read_config_file(path):

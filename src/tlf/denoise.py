@@ -11,6 +11,7 @@ shells out to any executable speaking the TLF1 wire protocol:
 One request per invocation; streams close after the reply.
 """
 
+import math
 import shlex
 import struct
 import subprocess
@@ -44,13 +45,13 @@ class DenoiserSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown denoiser kind {self.kind!r}")
-        if self.strength < 0:
-            raise ConfigError("strength must be >= 0")
+        if not 0 <= self.strength < math.inf:
+            raise ConfigError("strength must be finite and >= 0")
         if self.schedule is not None:
             if len(self.schedule) == 0:
                 raise ConfigError("schedule must be non-empty when given")
-            if any(s < 0 for s in self.schedule):
-                raise ConfigError("schedule strengths must be >= 0")
+            if not all(0 <= s < math.inf for s in self.schedule):
+                raise ConfigError("schedule strengths must be finite and >= 0")
         if self.kind == "external" and not self.command:
             raise ConfigError("external denoiser needs a command")
 
@@ -66,7 +67,10 @@ class DenoiserSpec:
         kind = kind.strip()
         if not rest:
             return cls(kind=kind)
-        values = [float(tok) for tok in rest.split(",") if tok.strip()]
+        try:
+            values = [float(tok) for tok in rest.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad denoiser strength in {text!r}") from exc
         if len(values) == 1:
             return cls(kind=kind, strength=values[0])
         return cls(kind=kind, strength=values[0], schedule=tuple(values))

@@ -70,9 +70,5 @@ def lp_penalty(v: np.ndarray, p: float) -> float:
     return float((np.abs(v) ** p).sum())
 
 
-def project_box01_array(v: np.ndarray) -> np.ndarray:
-    return np.clip(v, 0.0, 1.0)
-
-
 def project_box01(v: ImageTensor) -> ImageTensor:
     return ImageTensor(np.clip(v.data, 0.0, 1.0))

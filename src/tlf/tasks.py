@@ -19,9 +19,9 @@ import numpy as np
 from . import feasibility as _feas
 from .denoise import DenoiserSpec, denoise, try_denoised
 from .engine import bus, mdus
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .feasibility import FeasibilityModel
-from .prox import ProxSpec, lp_penalty, prox_lp_array
+from .prox import ProxSpec, lp_penalty, project_box01, prox_lp_array
 from .problem import CompositeProblem, SolverParams, iterate
 from .tensor import (
     BlurKernel,
@@ -36,14 +36,6 @@ from .tensor import (
 from .trace import BUS_ACCEPTED, BUS_FALLBACK, MDUS_BRANCHES, TraceRecord
 
 DEFAULT_LEVELS = 3
-
-
-def _check_dyadic(img: ImageTensor, levels: int):
-    d = 1 << levels
-    if img.height % d or img.width % d:
-        raise ShapeError(
-            f"image {img.height}x{img.width} must be divisible by 2^{levels} for the wavelet transform"
-        )
 
 
 def build_deblur(
@@ -63,11 +55,11 @@ def build_deblur(
     constant is ||K||_2^2, read off exactly from the kernel's frequency
     response (K is circulant).
     """
-    _check_dyadic(blurry, levels)
+    synthesis = WaveletInverse(levels)
+    synthesis._check(blurry.data)  # dyadic size for the wavelet transform
     conv = CircularConvolution(kernel)
     resp = conv.frequency_response(blurry.height, blurry.width)
     lipschitz = float(np.max(np.abs(resp) ** 2))
-    synthesis = WaveletInverse(levels)
     prob = CompositeProblem(
         data_op=Composition([synthesis, conv]),
         observation=blurry,
@@ -101,12 +93,12 @@ def build_inpaint(
     cg_tol: float = 1e-8,
 ):
     """Masked-observation problem; the mask+TV system is solved by CG."""
-    _check_dyadic(observed, levels)
+    synthesis = WaveletInverse(levels)
+    synthesis._check(observed.data)  # dyadic size for the wavelet transform
     mask_op = Mask(mask)  # validates binary entries
     if mask_op.mask.shape[1:] != (observed.height, observed.width):
         raise ValidationError("mask shape differs from observation")
     b = mask_op.apply(observed)
-    synthesis = WaveletInverse(levels)
     prob = CompositeProblem(
         data_op=Composition([synthesis, mask_op]),
         observation=b,
@@ -203,8 +195,8 @@ def estimate_rain_layer(y: ImageTensor, threshold: float = 0.02) -> ImageTensor:
 
 
 def derain_init(y: ImageTensor, weights: DerainWeights, params: SolverParams, levels: int = DEFAULT_LEVELS) -> DerainState:
-    _check_dyadic(y, levels)
     ana = WaveletForward(levels)
+    ana._check(y.data)  # dyadic size for the wavelet transform
     x_r = estimate_rain_layer(y)
     x_b = ImageTensor(np.clip(y.data - x_r.data, 0.0, 1.0))
     return DerainState(
@@ -230,10 +222,6 @@ def _background_model(y, x_r, weights):
         hqs_iters=5,
         x_solver="fft",
     )
-
-
-def _clip(img: ImageTensor) -> ImageTensor:
-    return ImageTensor(np.clip(img.data, 0.0, 1.0))
 
 
 def rain_layer_prox(resid, x_tilde, eta, rho, p):
@@ -287,22 +275,22 @@ def derain_step(
     )
 
     # (b) objective-side layer updates: project the synthesized codes
-    x_f = (_clip(syn.apply(beta)), _clip(syn.apply(gamma)))
+    x_f = (project_box01(syn.apply(beta)), project_box01(syn.apply(gamma)))
 
     # (c)-(e) feasibility-side updates, anchored and anchor-free
     bg_model = _background_model(y, state.x_r, w)
     resid_r = y.data - state.x_b.data
     x_g = (
-        _clip(_feas.solve_G(bg_model, state.x_b)),
-        _clip(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
+        project_box01(_feas.solve_G(bg_model, state.x_b)),
+        project_box01(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
     )
 
     def anchored():
         xt_b = denoise(n_b, state.x_b, k)
         xt_r = denoise(n_r, state.x_r, k)
         return (
-            _clip(_feas.solve_G_mu(bg_model.with_anchor(xt_b, state.eta1), state.x_b)),
-            _clip(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.eta2, w.rho2, w.p2))),
+            project_box01(_feas.solve_G_mu(bg_model.with_anchor(xt_b, state.eta1), state.x_b)),
+            project_box01(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.eta2, w.rho2, w.p2))),
         )
 
     x_gmu = try_denoised(anchored)

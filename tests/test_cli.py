@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tlf.cli import main
+from tlf import cli
+from tlf.cli import build_parser, main
 from tlf.config import DEFAULTS
 from tlf.fixtures import deblur_fixture, inpaint_fixture, rain_fixture
 from tlf.formats import read_tlft, write_kernel, write_mask, write_tlft
@@ -16,6 +19,9 @@ def deblur_files(tmp_path):
     return tmp_path
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -24,8 +30,27 @@ class TestDefaults:
     def test_defaults_prints_all_keys(self, capsys):
         assert run_cli(["defaults"]) == 0
         out = capsys.readouterr().out
-        for key in DEFAULTS:
-            assert f"{key} = " in out
+        assert out == (DATA / "defaults.txt").read_text()
+
+
+class TestFlags:
+    def test_one_flag_per_key(self, monkeypatch):
+        parser = build_parser()
+        deblur = next(a for a in parser._actions if a.dest == "command").choices["deblur"]
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or 0)
+        for key, default in DEFAULTS.items():
+            if key == "task":
+                continue
+            (action,) = [a for a in deblur._actions if a.dest == key]
+            flag = "--noise" if key == "noise_percent" else "--" + key.replace("_", "-")
+            assert action.option_strings == [flag]
+            if isinstance(default, str):
+                value = "pg" if key == "solver" else "v"
+            else:
+                value = default + 1 if isinstance(default, int) else default + 0.5
+            assert run_cli(["deblur", "--input", "x", flag, value]) == 0
+            assert getattr(seen[-1], key) == value, key
 
 
 class TestExitCodes:
@@ -81,6 +106,34 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "task,extra",
+        [
+            ("deblur", ["--cg-tol", "nan"]),
+            ("deblur", ["--rel-tol", "nan"]),
+            ("deblur", ["--noise", "-5"]),
+            ("deblur", ["--solver", "dtlf", "--denoiser", "tv-rof:abc"]),
+            ("deblur", ["--levels", "-1"]),
+            ("deblur", ["--solver", "pg,tlf"]),
+            ("inpaint", ["--solver", "pg,tlf"]),
+        ],
+        ids=["cg-tol-nan", "rel-tol-nan", "noise-negative", "denoiser-strength",
+             "levels-negative", "deblur-solver-list", "inpaint-solver-list"],
+    )
+    def test_bad_values_rejected(self, tmp_path, task, extra):
+        _, mask, observed = inpaint_fixture(seed=5, size=16)
+        write_tlft(tmp_path / "obs.tlft", observed)
+        write_mask(tmp_path / "mask.pgm", mask)
+        args = [
+            task,
+            "--input", tmp_path / "obs.tlft",
+            "--mask", tmp_path / "mask.pgm",
+            "--levels", "2",
+            "--max-iters", "2",
+            "--out", tmp_path / "o",
+        ]
+        assert run_cli(args + extra) == 1
 
 
 class TestBench:

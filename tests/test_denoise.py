@@ -30,6 +30,11 @@ class TestSpec:
         spec = DenoiserSpec.parse("tv-rof:0.05")
         assert spec.kind == "tv-rof" and spec.strength == 0.05
 
+    @pytest.mark.parametrize("text", ["tv-rof:abc", "tv-rof:nan", "gaussian:1.0,inf"])
+    def test_parse_bad_strength(self, text):
+        with pytest.raises(ConfigError):
+            DenoiserSpec.parse(text)
+
     def test_parse_schedule_clamps(self):
         spec = DenoiserSpec.parse("gaussian:1.0,0.5,0.25")
         assert spec.strength_at(0) == 1.0
