@@ -28,7 +28,7 @@ from .formats import read_image, read_kernel, read_mask, write_image, write_tlft
 from .metrics import psnr, ssim
 from .noise import add_gaussian_noise
 from .problem import SolverParams, solve_baseline
-from .tasks import DerainWeights, build_deblur, build_inpaint, derain_solve
+from .tasks import DerainWeights, build_deblur, build_inpaint, derain_init, derain_solve
 from .tensor import BlurKernel, CircularConvolution
 
 EXIT_OK = 0
@@ -159,7 +159,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         )
         n_b = _denoiser_spec(cfg)
         n_r = DenoiserSpec.parse(cfg.denoiser_rain)
-        state, trace = derain_solve(rainy, None, (n_b, n_r), params, ground_truth=gt, weights=weights)
+        init = derain_init(rainy, weights, params, levels=cfg.levels)
+        state, trace = derain_solve(rainy, init, (n_b, n_r), params, ground_truth=gt)
         out_root.mkdir(parents=True, exist_ok=True)
         suffix = "pgm" if state.x_b.channels == 1 else "ppm"
         write_image(out_root / f"background.{suffix}", state.x_b)

@@ -7,6 +7,7 @@ default is the key's default and the default's type is the key's parse type.
 import math
 from dataclasses import dataclass, fields
 
+from .denoise import DenoiserSpec
 from .errors import ConfigError
 
 TASKS = ("deblur", "inpaint", "derain", "bench")
@@ -90,6 +91,15 @@ class ExperimentConfig:
             raise ConfigError(f"cg_tol must be > 0, got {self.cg_tol}")
         if not self.noise_percent >= 0:
             raise ConfigError(f"noise_percent must be >= 0, got {self.noise_percent}")
+        if self.levels < 1:
+            raise ConfigError(f"levels must be >= 1, got {self.levels}")
+        if self.hqs_iters < 1:
+            raise ConfigError(f"hqs_iters must be >= 1, got {self.hqs_iters}")
+        if not self.hqs_rho > 0:
+            raise ConfigError(f"hqs_rho must be > 0, got {self.hqs_rho}")
+        # both specs, whether or not this task and solver read them
+        DenoiserSpec.parse(self.denoiser)
+        DenoiserSpec.parse(self.denoiser_rain)
 
     def solver_list(self):
         return [s.strip() for s in self.solver.split(",")]

@@ -39,7 +39,6 @@ class DenoiserSpec:
     strength: float = 0.0
     schedule: tuple | None = None  # per-outer-iteration strengths
     command: str = ""
-    args: tuple = ()
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
@@ -123,8 +122,7 @@ def denoise(spec: DenoiserSpec, x: ImageTensor, iter_index: int = 0) -> ImageTen
     if strength == 0.0:
         return x
     if spec.kind == "external":
-        argv = (*shlex.split(spec.command), *spec.args)
-        return external_roundtrip(argv, x, hint=strength, timeout=spec.timeout)
+        return external_roundtrip(spec.command, x, hint=strength, timeout=spec.timeout)
     if spec.kind == "tv-rof":
         return _tv_rof(x, strength)
     if spec.kind == "recursive-filter":
@@ -135,18 +133,6 @@ def denoise(spec: DenoiserSpec, x: ImageTensor, iter_index: int = 0) -> ImageTen
     if spec.kind == "median":
         return _median(x, strength)
     return _wavelet_shrink(x, strength)
-
-
-def try_denoised(propose):
-    """Return ``propose()``, or None when a denoiser called in it fails.
-
-    The solvers turn None into a NaN displacement norm, which BUS rejects:
-    a failed denoiser costs the anchored point, never the solve.
-    """
-    try:
-        return propose()
-    except DenoiserError:
-        return None
 
 
 def _encode_request(x: ImageTensor, hint: float) -> bytes:

@@ -10,18 +10,22 @@ geometrically decaying weight alpha, then lets two guards police the result:
   ||x_Gmu - x|| <= C * ||x_G - x||, else falls back to the model-based
   aggregate and shrinks the anchor weight mu by beta.
 
+``latent_step`` is that iteration, once, for TLF, DTLF and the derain
+block alike; each solver only supplies its candidate points.
+
 Wavelet-space problems run F and x_F on coefficients while the feasibility
 and denoising modules work on images; the orthonormal synthesis operator
 maps between the two spaces exactly.
 """
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import feasibility as _feas
-from .denoise import DenoiserSpec, denoise, try_denoised
+from .denoise import DenoiserSpec, denoise
+from .errors import DenoiserError
 from .feasibility import FeasibilityModel
 from .problem import CompositeProblem, SolverParams, eval_F, iterate, pg_step
 from .tensor import ImageTensor
@@ -44,20 +48,13 @@ class BusResult(NamedTuple):
     mu: float
 
 
-def _objective(prob) -> Callable[[ImageTensor], float]:
-    if callable(prob):
-        return prob
-    return lambda x: eval_F(prob, x)
-
-
-def mdus(prob, v, *fallbacks, alpha: float, gamma: float) -> MdusResult:
-    """Monotone descent update: keep the first point of least F; decay alpha.
+def mdus(fn, v, *fallbacks, alpha: float, gamma: float) -> MdusResult:
+    """Monotone descent update: keep the first point of least ``fn``; decay alpha.
 
     A later point replaces the current choice unless the choice's F is <=
     its own: a tie keeps the earlier point (v first), and a NaN on either
     side moves to the later one.
     """
-    fn = _objective(prob)
     x, f_x, chosen = v, fn(v), 0
     for i, point in enumerate(fallbacks, 1):
         f_point = fn(point)
@@ -85,40 +82,69 @@ def _dist(a: ImageTensor, b: ImageTensor) -> float:
     return float(np.linalg.norm(a.data - b.data))
 
 
+class LatentStep(NamedTuple):
+    guard: MdusResult
+    mu: float  # the anchor weight for the next step
+    record: TraceRecord
+
+    @property
+    def accepted_z(self) -> bool:
+        """BUS kept the anchored point; False for TLF, which has none."""
+        return self.record.bus_branch == BUS_ACCEPTED
+
+
+def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, aggregate, *fallbacks):
+    """One guarded step of TLF, DTLF and derain from its candidate points.
+
+    ``anchored`` (None for TLF) proposes the anchored point x_Gmu; a
+    ``DenoiserError`` inside it is absorbed as a NaN norm, which BUS
+    rejects, so a failed denoiser costs the anchored point, never the
+    solve.  BUS chooses between x_Gmu and x_G, ``aggregate(alpha, latent,
+    x_F)`` builds v, and MDUS keeps the first of v, x_F and ``fallbacks``
+    with least ``objective``.  ``dist(point, x)`` measures the displacements
+    the record keeps.
+    """
+    rec = TraceRecord(
+        k=k, F_value=math.nan, norm_xF_x=dist(x_F, x), norm_xG_x=dist(x_G, x),
+        alpha=alpha, bus_branch=BUS_NA,
+    )
+    latent = x_G
+    if anchored is not None:
+        try:
+            x_Gmu = anchored()
+        except DenoiserError:
+            x_Gmu = None
+        rec.norm_xGmu_x = math.nan if x_Gmu is None else dist(x_Gmu, x)
+        rec.mu = mu
+        accepted_z, mu = bus(rec.norm_xGmu_x, rec.norm_xG_x, mu, params.beta, params.bus_c)
+        rec.bus_branch = BUS_ACCEPTED if accepted_z else BUS_FALLBACK
+        if accepted_z:
+            latent = x_Gmu
+    guard = mdus(objective, aggregate(alpha, latent, x_F), x_F, *fallbacks, alpha=alpha, gamma=params.gamma)
+    rec.F_value, rec.mdus_branch = guard.F_value, MDUS_BRANCHES[guard.chosen]
+    return LatentStep(guard, mu, rec)
+
+
 def _latent_solve(method, prob, feas, denoiser, params, x0, ground_truth):
-    """TLF (no denoiser) or DTLF: the aggregate step under MDUS, and BUS."""
+    """TLF (no denoiser) or DTLF: pg_step and the feasibility solves feed latent_step."""
     t = params.resolve_step(prob.lipschitz)
     x = prob.default_init() if x0 is None else x0
     alpha, mu = params.alpha0, params.mu0
 
     def step(x, k):
         nonlocal alpha, mu
-        x_F = pg_step(prob, x, t)
         img_x = prob.to_image(x)
-        x_G = prob.from_image(_feas.solve_G(feas, img_x))
-        rec = TraceRecord(
-            k=k,
-            F_value=math.nan,
-            norm_xF_x=_dist(x_F, x),
-            norm_xG_x=_dist(x_G, x),
-            alpha=alpha,
-            bus_branch=BUS_NA,
+
+        def anchored():
+            return prob.from_image(_feas.solve_G_mu(feas.with_anchor(denoise(denoiser, img_x, k), mu), img_x))
+
+        out = latent_step(
+            k, x, pg_step(prob, x, t), prob.from_image(_feas.solve_G(feas, img_x)),
+            None if denoiser is None else anchored, mu, alpha, params,
+            lambda v: eval_F(prob, v), _dist, _aggregate,
         )
-        latent = x_G
-        if denoiser is not None:
-            x_Gmu = try_denoised(lambda: prob.from_image(
-                _feas.solve_G_mu(feas.with_anchor(denoise(denoiser, img_x, k), mu), img_x)
-            ))
-            rec.norm_xGmu_x = math.nan if x_Gmu is None else _dist(x_Gmu, x)
-            rec.mu = mu
-            accepted_z, mu = bus(rec.norm_xGmu_x, rec.norm_xG_x, mu, params.beta, params.bus_c)
-            rec.bus_branch = BUS_ACCEPTED if accepted_z else BUS_FALLBACK
-            if accepted_z:
-                latent = x_Gmu
-        guard = mdus(prob, _aggregate(alpha, latent, x_F), x_F, alpha=alpha, gamma=params.gamma)
-        rec.F_value, rec.mdus_branch = guard.F_value, MDUS_BRANCHES[guard.chosen]
-        alpha = guard.alpha
-        return guard.x, rec
+        alpha, mu = out.guard.alpha, out.mu
+        return out.guard.x, out.record
 
     return iterate(method, x, step, params, eval_F(prob, x), prob.to_image, ground_truth)
 

@@ -28,19 +28,11 @@ class CompositeProblem:
     observation: ImageTensor
     reg_spec: ProxSpec  # tau field carries the weight lambda1
     lipschitz: float
-    variable_space: str = "image"
     synthesis: LinearOperator | None = None
 
     def __post_init__(self):
         if self.lipschitz <= 0:
             raise ConfigError(f"lipschitz must be > 0, got {self.lipschitz}")
-        if self.variable_space not in ("image", "wavelet-coefficients"):
-            raise ConfigError(f"unknown variable space {self.variable_space!r}")
-        if self.variable_space == "wavelet-coefficients" and self.synthesis is None:
-            raise ConfigError("wavelet-coefficient problems need a synthesis operator")
-
-    def default_step(self) -> float:
-        return 0.99 / self.lipschitz
 
     def to_image(self, x: ImageTensor) -> ImageTensor:
         return self.synthesis.apply(x) if self.synthesis is not None else x

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import feasibility as _feas
-from .denoise import DenoiserSpec, denoise, try_denoised
-from .engine import bus, mdus
+from .denoise import DenoiserSpec, denoise
+from .engine import _aggregate, latent_step
 from .errors import ValidationError
 from .feasibility import FeasibilityModel
 from .prox import ProxSpec, lp_penalty, project_box01, prox_lp_array
@@ -33,7 +33,6 @@ from .tensor import (
     WaveletForward,
     WaveletInverse,
 )
-from .trace import BUS_ACCEPTED, BUS_FALLBACK, MDUS_BRANCHES, TraceRecord
 
 DEFAULT_LEVELS = 3
 
@@ -65,7 +64,6 @@ def build_deblur(
         observation=blurry,
         reg_spec=ProxSpec(p, lambda1),
         lipschitz=lipschitz,
-        variable_space="wavelet-coefficients",
         synthesis=synthesis,
     )
     feas = FeasibilityModel(
@@ -104,7 +102,6 @@ def build_inpaint(
         observation=b,
         reg_spec=ProxSpec(p, lambda1),
         lipschitz=1.0,
-        variable_space="wavelet-coefficients",
         synthesis=synthesis,
     )
     feas = FeasibilityModel(
@@ -234,12 +231,24 @@ def rain_layer_prox(resid, x_tilde, eta, rho, p):
     return prox_lp_array(center, ProxSpec(p, rho / (1.0 + eta)))
 
 
+def _layers(p):
+    """The (background, rain) pair of a state, or the pair itself."""
+    return (p.x_b, p.x_r) if isinstance(p, DerainState) else p
+
+
 def _layers_dist(a, b) -> float:
-    """Joint distance of two (background, rain) layer pairs."""
+    """Joint distance of the layers of two states or layer pairs."""
+    (a_b, a_r), (b_b, b_r) = _layers(a), _layers(b)
     return math.hypot(
-        float(np.linalg.norm(a[0].data - b[0].data)),
-        float(np.linalg.norm(a[1].data - b[1].data)),
+        float(np.linalg.norm(a_b.data - b_b.data)),
+        float(np.linalg.norm(a_r.data - b_r.data)),
     )
+
+
+def _layers_aggregate(alpha, latent, x_F: DerainState) -> DerainState:
+    """x_F with each layer replaced by its alpha-aggregate with ``latent``."""
+    u_b, u_r = (_aggregate(alpha, g, f) for g, f in zip(latent, _layers(x_F)))
+    return replace(x_F, x_b=u_b, x_r=u_r)
 
 
 def derain_step(
@@ -249,38 +258,34 @@ def derain_step(
     params: SolverParams,
     k: int,
 ):
-    """One synchronized outer iteration over both layers.
+    """One synchronized outer iteration over both layers, guarded by latent_step.
 
-    Returns the accepted next state and the trace record of the iteration.
+    BUS weighs eta1 and eta2 decays on the same decision; MDUS's last
+    fallback keeps the layers and moves only the codes.  Returns the next
+    state and the trace record of the iteration.
     """
     w = state.weights
     ana = WaveletForward(state.levels)
     syn = WaveletInverse(state.levels)
     n_b, n_r = denoisers
     s = params.resolve_step(1.0)
-    layers = (state.x_b, state.x_r)
 
     # (a) proximal-gradient update of the sparse codes (orthonormal W => L=1)
-    beta = ImageTensor(
-        prox_lp_array(
-            state.beta.data - s * (state.beta.data - ana.apply(state.x_b).data),
-            ProxSpec(w.p1, s * w.nu1),
-        )
-    )
-    gamma = ImageTensor(
-        prox_lp_array(
-            state.gamma.data - s * (state.gamma.data - ana.apply(state.x_r).data),
-            ProxSpec(w.p2, s * w.nu2),
-        )
-    )
+    def code_step(c, layer, p, nu):
+        grad = c.data - ana.apply(layer).data
+        return ImageTensor(prox_lp_array(c.data - s * grad, ProxSpec(p, s * nu)))
+
+    beta = code_step(state.beta, state.x_b, w.p1, w.nu1)
+    gamma = code_step(state.gamma, state.x_r, w.p2, w.nu2)
+    codes = replace(state, beta=beta, gamma=gamma)
 
     # (b) objective-side layer updates: project the synthesized codes
-    x_f = (project_box01(syn.apply(beta)), project_box01(syn.apply(gamma)))
+    x_F = replace(codes, x_b=project_box01(syn.apply(beta)), x_r=project_box01(syn.apply(gamma)))
 
     # (c)-(e) feasibility-side updates, anchored and anchor-free
     bg_model = _background_model(y, state.x_r, w)
     resid_r = y.data - state.x_b.data
-    x_g = (
+    x_G = (
         project_box01(_feas.solve_G(bg_model, state.x_b)),
         project_box01(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
     )
@@ -293,45 +298,16 @@ def derain_step(
             project_box01(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.eta2, w.rho2, w.p2))),
         )
 
-    x_gmu = try_denoised(anchored)
-
-    # (f) joint BUS over the stacked layers; both anchor weights decay
-    # together, so BUS runs on a unit weight that scales each of them
-    norm_xg = _layers_dist(x_g, layers)
-    norm_xgmu = math.nan if x_gmu is None else _layers_dist(x_gmu, layers)
-    accepted_z, scale = bus(norm_xgmu, norm_xg, 1.0, params.beta, params.bus_c)
-    latent = x_gmu if accepted_z else x_g
-    a = state.alpha
-    u_b, u_r = (ImageTensor(a * g.data + (1.0 - a) * f.data) for g, f in zip(latent, x_f))
-
-    # joint MDUS: the aggregate, then the projected codes, then the layers unchanged
-    guard = mdus(
-        lambda st: derain_objective(y, st),
-        replace(state, x_b=u_b, x_r=u_r, beta=beta, gamma=gamma),
-        replace(state, x_b=x_f[0], x_r=x_f[1], beta=beta, gamma=gamma),
-        replace(state, beta=beta, gamma=gamma),
-        alpha=state.alpha,
-        gamma=params.gamma,
+    out = latent_step(
+        k, state, x_F, x_G, anchored, state.eta1, state.alpha, params,
+        lambda st: derain_objective(y, st), _layers_dist, _layers_aggregate, codes,
     )
-    next_state = replace(
-        guard.x, eta1=scale * state.eta1, eta2=scale * state.eta2, alpha=guard.alpha
-    )
-    rec = TraceRecord(
-        k=k,
-        F_value=guard.F_value,
-        norm_xF_x=_layers_dist(x_f, layers),
-        norm_xG_x=norm_xg,
-        norm_xGmu_x=norm_xgmu,
-        alpha=state.alpha,
-        mu=state.eta1,
-        mdus_branch=MDUS_BRANCHES[guard.chosen],
-        bus_branch=BUS_ACCEPTED if accepted_z else BUS_FALLBACK,
-    )
-    return next_state, rec
+    eta2 = state.eta2 if out.accepted_z else params.beta * state.eta2
+    return replace(out.guard.x, eta1=out.mu, eta2=eta2, alpha=out.guard.alpha), out.record
 
 
 def _layers_change(new: DerainState, old: DerainState) -> float:
-    num = _layers_dist((new.x_b, new.x_r), (old.x_b, old.x_r))
+    num = _layers_dist(new, old)
     den = math.hypot(new.x_b.norm(), new.x_r.norm())
     return num / den if den > 0 else (0.0 if num == 0.0 else math.inf)
 
@@ -342,12 +318,12 @@ def derain_solve(
     denoisers,
     params: SolverParams,
     ground_truth: ImageTensor | None = None,
-    weights: DerainWeights | None = None,
 ):
-    """Iterate derain_step to joint relative tolerance on (x_b, x_r)."""
+    """Iterate derain_step from ``init`` (None: derain_init with default weights)
+    to joint relative tolerance on (x_b, x_r)."""
     if y.data.min() < 0.0 or y.data.max() > 1.0:
         raise ValidationError("y must lie in [0, 1]")
-    state = derain_init(y, weights or DerainWeights(), params) if init is None else init
+    state = derain_init(y, DerainWeights(), params) if init is None else init
     if init is not None and (
         state.x_b.data.min() < 0.0
         or state.x_b.data.max() > 1.0

@@ -46,7 +46,7 @@ class TestFlags:
             flag = "--noise" if key == "noise_percent" else "--" + key.replace("_", "-")
             assert action.option_strings == [flag]
             if isinstance(default, str):
-                value = "pg" if key == "solver" else "v"
+                value = {"solver": "pg", "denoiser": "median", "denoiser_rain": "median"}.get(key, "v")
             else:
                 value = default + 1 if isinstance(default, int) else default + 0.5
             assert run_cli(["deblur", "--input", "x", flag, value]) == 0
@@ -117,9 +117,16 @@ class TestExitCodes:
             ("deblur", ["--levels", "-1"]),
             ("deblur", ["--solver", "pg,tlf"]),
             ("inpaint", ["--solver", "pg,tlf"]),
+            ("deblur", ["--solver", "tlf", "--denoiser", "tv-rof:abc"]),
+            ("deblur", ["--denoiser-rain", "bogus"]),
+            ("derain", ["--levels", "-1"]),
+            ("derain", ["--hqs-iters", "-2"]),
+            ("derain", ["--hqs-rho", "0"]),
         ],
         ids=["cg-tol-nan", "rel-tol-nan", "noise-negative", "denoiser-strength",
-             "levels-negative", "deblur-solver-list", "inpaint-solver-list"],
+             "levels-negative", "deblur-solver-list", "inpaint-solver-list",
+             "tlf-denoiser-strength", "denoiser-rain-kind", "derain-levels-negative",
+             "derain-hqs-iters-negative", "derain-hqs-rho-zero"],
     )
     def test_bad_values_rejected(self, tmp_path, task, extra):
         _, mask, observed = inpaint_fixture(seed=5, size=16)
@@ -289,6 +296,44 @@ class TestGoldenTrace:
             fresh = list(csv.DictReader(fh))
         assert len(golden) == len(fresh)
         for grow, frow in zip(golden, fresh):
+            for key, gval in grow.items():
+                fval = frow[key]
+                try:
+                    g = float(gval)
+                except ValueError:
+                    assert fval == gval
+                    continue
+                f = float(fval)
+                assert abs(f - g) <= 1e-6 * max(1.0, abs(g)), key
+
+    @pytest.mark.parametrize(
+        "golden,args",
+        [
+            ("golden_deblur_dtlf_trace.csv",
+             ["deblur", "--input", "blurry.tlft", "--kernel", "kernel.txt", "--gt", "gt.tlft",
+              "--solver", "dtlf", "--max-iters", "40", "--rel-tol", "0"]),
+            ("golden_derain_trace.csv",
+             ["derain", "--input", "rainy.tlft", "--gt", "rain_gt.tlft",
+              "--max-iters", "12", "--rel-tol", "0"]),
+        ],
+        ids=["deblur-dtlf", "derain"],
+    )
+    def test_reproduces_golden_trace(self, deblur_files, golden, args):
+        """The same comparison for DTLF and for the derain block."""
+        import csv
+
+        y, xb, _ = rain_fixture(seed=42, size=64)
+        write_tlft(deblur_files / "rainy.tlft", y)
+        write_tlft(deblur_files / "rain_gt.tlft", xb)
+        out = deblur_files / "golden_run"
+        args = [deblur_files / a if a.endswith((".tlft", ".txt")) else a for a in args]
+        assert run_cli(args + ["--out", out]) == 0
+        with open(DATA / golden) as fh:
+            golden_rows = list(csv.DictReader(fh))
+        with open(out / "trace.csv") as fh:
+            fresh = list(csv.DictReader(fh))
+        assert len(golden_rows) == len(fresh)
+        for grow, frow in zip(golden_rows, fresh):
             for key, gval in grow.items():
                 fval = frow[key]
                 try:

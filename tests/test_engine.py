@@ -69,7 +69,7 @@ class TestMdus:
         prob, _, _ = image_space_setup(rng, 16, 16)
         x = prob.default_init()
         x_f = pg_step(prob, x, 0.5 / prob.lipschitz)
-        res = mdus(prob, x, x_f, alpha=0.5, gamma=0.9)
+        res = mdus(lambda v: eval_F(prob, v), x, x_f, alpha=0.5, gamma=0.9)
         assert res.F_value == min(eval_F(prob, x), eval_F(prob, x_f))
 
 

@@ -38,7 +38,7 @@ from tlf.tensor import (
     WaveletInverse,
     estimate_lipschitz,
 )
-from tlf.trace import MDUS_BRANCHES, MDUS_KEPT
+from tlf.trace import BUS_FALLBACK, MDUS_BRANCHES, MDUS_KEPT
 
 
 class TestBuildDeblur:
@@ -243,6 +243,19 @@ class TestDerainSolve:
                 assert np.array_equal(new.x_r.data, state.x_r.data)
             state = new
         assert kept > 0
+
+    def test_denoiser_failure_becomes_bus_fallback(self, tmp_path):
+        y, _, _ = rain_fixture(seed=42, size=32)
+        params = derain_params(max_iters=4, rel_tol=0.0)
+        missing = DenoiserSpec(kind="external", command=str(tmp_path / "no-such-denoiser"), strength=1.0)
+        state = derain_init(y, DerainWeights(), params)
+        for k in range(params.max_iters):
+            new, rec = derain_step(y, state, (missing, missing), params, k)
+            assert rec.bus_branch == BUS_FALLBACK
+            assert math.isnan(rec.norm_xGmu_x)
+            assert new.eta1 == params.beta * state.eta1
+            assert new.eta2 == params.beta * state.eta2
+            state = new
 
     def test_out_of_box_init_rejected(self):
         y = synthetic_scene(32)
