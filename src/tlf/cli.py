@@ -63,14 +63,6 @@ def _solver_params(cfg: ExperimentConfig) -> SolverParams:
     )
 
 
-def _denoiser_spec(cfg: ExperimentConfig) -> DenoiserSpec:
-    if cfg.external_denoiser:
-        return DenoiserSpec(
-            kind="external", command=cfg.external_denoiser, strength=cfg.denoiser_hint
-        )
-    return DenoiserSpec.parse(cfg.denoiser)
-
-
 def _deblur_problem(cfg, blurry, kernel):
     """Add the configured noise to ``blurry`` and build the deblur problem.
 
@@ -101,7 +93,7 @@ def _run_composite(cfg, solver, prob, feas, gt, out_dir):
     elif solver == "tlf":
         x, trace = tlf_solve(prob, feas, params, ground_truth=gt)
     else:
-        x, trace = dtlf_solve(prob, feas, _denoiser_spec(cfg), params, ground_truth=gt)
+        x, trace = dtlf_solve(prob, feas, cfg.denoiser_spec(), params, ground_truth=gt)
     restored = prob.to_image(x)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_image(out_dir / ("restored.pgm" if restored.channels == 1 else "restored.ppm"), restored)
@@ -157,7 +149,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             nu1=cfg.nu1, nu2=cfg.nu2, rho1=cfg.rho1, rho2=cfg.rho2,
             p1=cfg.p1, p2=cfg.p2, recon_weight=cfg.recon_weight,
         )
-        n_b = _denoiser_spec(cfg)
+        n_b = cfg.denoiser_spec()
         n_r = DenoiserSpec.parse(cfg.denoiser_rain)
         init = derain_init(rainy, weights, params, levels=cfg.levels)
         state, trace = derain_solve(rainy, init, (n_b, n_r), params, ground_truth=gt)

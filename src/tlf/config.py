@@ -98,8 +98,15 @@ class ExperimentConfig:
         if not self.hqs_rho > 0:
             raise ConfigError(f"hqs_rho must be > 0, got {self.hqs_rho}")
         # both specs, whether or not this task and solver read them
-        DenoiserSpec.parse(self.denoiser)
+        self.denoiser_spec()
         DenoiserSpec.parse(self.denoiser_rain)
+
+    def denoiser_spec(self) -> DenoiserSpec:
+        """The DTLF (and derain background) denoiser: ``external_denoiser``
+        when set, else ``denoiser``."""
+        if self.external_denoiser:
+            return DenoiserSpec(kind="external", command=self.external_denoiser, strength=self.denoiser_hint)
+        return DenoiserSpec.parse(self.denoiser)
 
     def solver_list(self):
         return [s.strip() for s in self.solver.split(",")]

@@ -85,12 +85,8 @@ def _dist(a: ImageTensor, b: ImageTensor) -> float:
 class LatentStep(NamedTuple):
     guard: MdusResult
     mu: float  # the anchor weight for the next step
+    accepted_z: bool  # BUS kept the anchored point; False for TLF, which has none
     record: TraceRecord
-
-    @property
-    def accepted_z(self) -> bool:
-        """BUS kept the anchored point; False for TLF, which has none."""
-        return self.record.bus_branch == BUS_ACCEPTED
 
 
 def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, aggregate, *fallbacks):
@@ -108,7 +104,7 @@ def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, ag
         k=k, F_value=math.nan, norm_xF_x=dist(x_F, x), norm_xG_x=dist(x_G, x),
         alpha=alpha, bus_branch=BUS_NA,
     )
-    latent = x_G
+    latent, accepted_z = x_G, False
     if anchored is not None:
         try:
             x_Gmu = anchored()
@@ -122,7 +118,7 @@ def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, ag
             latent = x_Gmu
     guard = mdus(objective, aggregate(alpha, latent, x_F), x_F, *fallbacks, alpha=alpha, gamma=params.gamma)
     rec.F_value, rec.mdus_branch = guard.F_value, MDUS_BRANCHES[guard.chosen]
-    return LatentStep(guard, mu, rec)
+    return LatentStep(guard, mu, accepted_z, rec)
 
 
 def _latent_solve(method, prob, feas, denoiser, params, x0, ground_truth):

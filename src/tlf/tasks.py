@@ -205,6 +205,7 @@ def derain_init(y: ImageTensor, weights: DerainWeights, params: SolverParams, le
         eta1=params.mu0,
         eta2=params.mu0,
         alpha=params.alpha0,
+        levels=levels,
     )
 
 
@@ -231,24 +232,21 @@ def rain_layer_prox(resid, x_tilde, eta, rho, p):
     return prox_lp_array(center, ProxSpec(p, rho / (1.0 + eta)))
 
 
-def _layers(p):
-    """The (background, rain) pair of a state, or the pair itself."""
-    return (p.x_b, p.x_r) if isinstance(p, DerainState) else p
-
-
-def _layers_dist(a, b) -> float:
-    """Joint distance of the layers of two states or layer pairs."""
-    (a_b, a_r), (b_b, b_r) = _layers(a), _layers(b)
+def _layers_dist(a: DerainState, b: DerainState) -> float:
+    """Joint distance of the (background, rain) layers of two states."""
     return math.hypot(
-        float(np.linalg.norm(a_b.data - b_b.data)),
-        float(np.linalg.norm(a_r.data - b_r.data)),
+        float(np.linalg.norm(a.x_b.data - b.x_b.data)),
+        float(np.linalg.norm(a.x_r.data - b.x_r.data)),
     )
 
 
-def _layers_aggregate(alpha, latent, x_F: DerainState) -> DerainState:
+def _layers_aggregate(alpha, latent: DerainState, x_F: DerainState) -> DerainState:
     """x_F with each layer replaced by its alpha-aggregate with ``latent``."""
-    u_b, u_r = (_aggregate(alpha, g, f) for g, f in zip(latent, _layers(x_F)))
-    return replace(x_F, x_b=u_b, x_r=u_r)
+    return replace(
+        x_F,
+        x_b=_aggregate(alpha, latent.x_b, x_F.x_b),
+        x_r=_aggregate(alpha, latent.x_r, x_F.x_r),
+    )
 
 
 def derain_step(
@@ -285,17 +283,19 @@ def derain_step(
     # (c)-(e) feasibility-side updates, anchored and anchor-free
     bg_model = _background_model(y, state.x_r, w)
     resid_r = y.data - state.x_b.data
-    x_G = (
-        project_box01(_feas.solve_G(bg_model, state.x_b)),
-        project_box01(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
+    x_G = replace(
+        codes,
+        x_b=project_box01(_feas.solve_G(bg_model, state.x_b)),
+        x_r=project_box01(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
     )
 
     def anchored():
         xt_b = denoise(n_b, state.x_b, k)
         xt_r = denoise(n_r, state.x_r, k)
-        return (
-            project_box01(_feas.solve_G_mu(bg_model.with_anchor(xt_b, state.eta1), state.x_b)),
-            project_box01(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.eta2, w.rho2, w.p2))),
+        return replace(
+            codes,
+            x_b=project_box01(_feas.solve_G_mu(bg_model.with_anchor(xt_b, state.eta1), state.x_b)),
+            x_r=project_box01(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.eta2, w.rho2, w.p2))),
         )
 
     out = latent_step(

@@ -142,6 +142,40 @@ class TestExitCodes:
         ]
         assert run_cli(args + extra) == 1
 
+    def test_external_denoiser_replaces_denoiser(self, deblur_files, echo_denoiser):
+        # --denoiser external alone has no command; --external-denoiser supplies it
+        code = run_cli(
+            [
+                "deblur",
+                "--input", deblur_files / "blurry.tlft",
+                "--kernel", deblur_files / "kernel.txt",
+                "--solver", "dtlf",
+                "--denoiser", "external",
+                "--external-denoiser", echo_denoiser,
+                "--max-iters", "2",
+                "--out", deblur_files / "o",
+            ]
+        )
+        assert code == 0
+
+    def test_derain_levels_passed_on(self, tmp_path):
+        # 20 is divisible by 4 but not by 8: runs only if every step uses 2
+        # levels (and a rain denoiser other than the 3-level wavelet-shrink)
+        y, _, _ = rain_fixture(seed=42, size=20)
+        write_tlft(tmp_path / "rainy.tlft", y)
+        code = run_cli(
+            [
+                "derain",
+                "--input", tmp_path / "rainy.tlft",
+                "--levels", "2",
+                "--denoiser-rain", "tv-rof:0.01",
+                "--max-iters", "2",
+                "--out", tmp_path / "o",
+            ]
+        )
+        assert code == 0
+        assert (tmp_path / "o" / "background.pgm").exists()
+
 
 class TestBench:
     def test_identity_no_reg_hits_cap(self, tmp_path):
@@ -315,8 +349,15 @@ class TestGoldenTrace:
             ("golden_derain_trace.csv",
              ["derain", "--input", "rainy.tlft", "--gt", "rain_gt.tlft",
               "--max-iters", "12", "--rel-tol", "0"]),
+            # a small BUS bound rejects x_Gmu: mu decays and v can win MDUS
+            ("golden_deblur_dtlf_bus_trace.csv",
+             ["deblur", "--input", "blurry.tlft", "--kernel", "kernel.txt", "--gt", "gt.tlft",
+              "--solver", "dtlf", "--max-iters", "40", "--rel-tol", "0", "--bus-c", "0.2"]),
+            ("golden_derain_bus_trace.csv",
+             ["derain", "--input", "rainy.tlft", "--gt", "rain_gt.tlft",
+              "--max-iters", "12", "--rel-tol", "0", "--bus-c", "0.5"]),
         ],
-        ids=["deblur-dtlf", "derain"],
+        ids=["deblur-dtlf", "derain", "deblur-dtlf-bus-reject", "derain-bus-reject"],
     )
     def test_reproduces_golden_trace(self, deblur_files, golden, args):
         """The same comparison for DTLF and for the derain block."""

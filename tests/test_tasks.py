@@ -257,6 +257,17 @@ class TestDerainSolve:
             assert new.eta2 == params.beta * state.eta2
             state = new
 
+    def test_init_levels_reach_the_steps(self):
+        # 20 is divisible by 4 but not by 8: only a 2-level state can step
+        y, _, _ = rain_fixture(seed=42, size=20)
+        params = derain_params(max_iters=2, rel_tol=0.0)
+        state = derain_init(y, DerainWeights(), params, levels=2)
+        assert state.levels == 2
+        assert state.beta.data.shape == WaveletForward(2).apply(y).data.shape
+        tv = DenoiserSpec(kind="tv-rof", strength=0.01)  # wavelet-shrink needs 8 | size
+        new, trace = derain_solve(y, state, (tv, tv), params)
+        assert new.levels == 2 and len(trace) == 2
+
     def test_out_of_box_init_rejected(self):
         y = synthetic_scene(32)
         params = derain_params(max_iters=5)
