@@ -37,7 +37,6 @@ def main():
         data_op=Mask((rng.uniform(size=(n, n)) > 0.4).astype(float)),
         observation=ImageTensor(img),
         tv_weight=2e-2,
-        x_solver="cg",
     )
     matvec = _normal_operator(model, 0.0)
     v = img[None, :, :]

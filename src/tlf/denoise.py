@@ -51,8 +51,13 @@ class DenoiserSpec:
                 raise ConfigError("schedule must be non-empty when given")
             if not all(0 <= s < math.inf for s in self.schedule):
                 raise ConfigError("schedule strengths must be finite and >= 0")
-        if self.kind == "external" and not self.command:
-            raise ConfigError("external denoiser needs a command")
+        if self.kind == "external":
+            try:
+                argv = shlex.split(self.command)
+            except ValueError as exc:
+                raise ConfigError(f"bad external denoiser command {self.command!r}: {exc}") from exc
+            if not argv:
+                raise ConfigError("external denoiser needs a command")
 
     def strength_at(self, iter_index: int) -> float:
         if self.schedule is None:
@@ -84,9 +89,8 @@ def _tv_rof(x: ImageTensor, weight: float) -> ImageTensor:
         observation=x,
         tv_weight=weight,
         tv_q=1.0,
-        hqs_rho=(rho, rho),
+        hqs_rho=rho,
         hqs_iters=_TV_ROF_ITERS,
-        x_solver="fft",
     )
     return solve_G(model, x)
 
@@ -108,7 +112,11 @@ def _median(x: ImageTensor, strength: float) -> ImageTensor:
     return ImageTensor(np.median(np.stack(shifts), axis=0))
 
 
-def _wavelet_shrink(x: ImageTensor, threshold: float, levels=3) -> ImageTensor:
+def _wavelet_shrink(x: ImageTensor, threshold: float) -> ImageTensor:
+    # up to 3 levels, as many as both sides halve evenly; a side that is odd
+    # keeps 1 level and fails the transform's size check
+    sides = x.height | x.width
+    levels = min(3, max(1, (sides & -sides).bit_length() - 1))
     coeffs = WaveletForward(levels).apply(x)
     shrunk = prox_lp(coeffs, ProxSpec(1.0, threshold))
     return WaveletInverse(levels).apply(shrunk)
@@ -164,12 +172,12 @@ def _decode_reply(blob: bytes, expect_shape) -> ImageTensor:
     return ImageTensor(data)
 
 
-def external_roundtrip(command, x: ImageTensor, hint: float = 0.0, timeout: float = DEFAULT_TIMEOUT) -> ImageTensor:
-    """Send one TLF1 request to a child process and decode its reply."""
-    if isinstance(command, str):
-        argv = shlex.split(command)
-    else:
-        argv = [str(c) for c in command if str(c)]
+def external_roundtrip(command: str, x: ImageTensor, hint: float = 0.0, timeout: float = DEFAULT_TIMEOUT) -> ImageTensor:
+    """Send one TLF1 request to a child process and decode its reply.
+
+    ``command`` is one shell-quoted string, split with ``shlex``.
+    """
+    argv = shlex.split(command)
     if not argv:
         raise DenoiserError("empty external denoiser command")
     request = _encode_request(x, hint)

@@ -132,7 +132,7 @@ def _latent_solve(method, prob, feas, denoiser, params, x0, ground_truth):
         img_x = prob.to_image(x)
 
         def anchored():
-            return prob.from_image(_feas.solve_G_mu(feas.with_anchor(denoise(denoiser, img_x, k), mu), img_x))
+            return prob.from_image(_feas.solve_G_mu(feas, img_x, denoise(denoiser, img_x, k), mu))
 
         out = latent_step(
             k, x, pg_step(prob, x, t), prob.from_image(_feas.solve_G(feas, img_x)),

@@ -71,9 +71,8 @@ def build_deblur(
         observation=blurry,
         tv_weight=lambda2,
         tv_q=q,
-        hqs_rho=(hqs_rho, hqs_rho),
+        hqs_rho=hqs_rho,
         hqs_iters=hqs_iters,
-        x_solver="fft",
     )
     return prob, feas
 
@@ -109,9 +108,8 @@ def build_inpaint(
         observation=b,
         tv_weight=lambda2,
         tv_q=q,
-        hqs_rho=(hqs_rho, hqs_rho),
+        hqs_rho=hqs_rho,
         hqs_iters=hqs_iters,
-        x_solver="cg",
         cg_tol=cg_tol,
     )
     return prob, feas
@@ -216,9 +214,8 @@ def _background_model(y, x_r, weights):
         observation=ImageTensor(y.data - x_r.data),
         tv_weight=weights.rho1,
         tv_q=weights.p1,
-        hqs_rho=(weights.rho1, weights.rho1),
+        hqs_rho=weights.rho1,
         hqs_iters=5,
-        x_solver="fft",
     )
 
 
@@ -294,7 +291,7 @@ def derain_step(
         xt_r = denoise(n_r, state.x_r, k)
         return replace(
             codes,
-            x_b=project_box01(_feas.solve_G_mu(bg_model.with_anchor(xt_b, state.eta1), state.x_b)),
+            x_b=project_box01(_feas.solve_G_mu(bg_model, state.x_b, xt_b, state.eta1)),
             x_r=project_box01(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.eta2, w.rho2, w.p2))),
         )
 

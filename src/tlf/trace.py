@@ -2,7 +2,7 @@
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 CSV_HEADER = "k,F,rel_err,norm_xF_x,norm_xG_x,norm_xGmu_x,alpha,mu,mdus_branch,bus_branch,psnr"
 
@@ -18,7 +18,10 @@ BUS_NA = "not-applicable"
 
 @dataclass
 class TraceRecord:
-    """One iteration; a solver step leaves rel_err to the iteration driver."""
+    """One iteration; a solver step leaves rel_err to the iteration driver.
+
+    The field order is the CSV column order of CSV_HEADER.
+    """
 
     k: int
     F_value: float
@@ -67,28 +70,12 @@ class IterateTrace:
         return self.records[-1]
 
     def to_csv(self) -> str:
+        """CSV_HEADER, then one row per record: TraceRecord's fields in order."""
+        names = [f.name for f in fields(TraceRecord)]
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
         for r in self.records:
-            buf.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.k,
-                        r.F_value,
-                        r.rel_err,
-                        r.norm_xF_x,
-                        r.norm_xG_x,
-                        r.norm_xGmu_x,
-                        r.alpha,
-                        r.mu,
-                        r.mdus_branch,
-                        r.bus_branch,
-                        r.psnr,
-                    )
-                )
-                + "\n"
-            )
+            buf.write(",".join(_fmt(getattr(r, name)) for name in names) + "\n")
         return buf.getvalue()
 
     def write_csv(self, path):

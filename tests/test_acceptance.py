@@ -252,10 +252,10 @@ class TestHqsResidual:
 
         def residual(model, x, aux, mu=0.0):
             k = model.data_op
-            rh, rv = model.hqs_rho
+            rho = model.hqs_rho
             mx = k._adjoint(k._apply(x.data))
-            mx += 2.0 * rh * gh._adjoint(gh._apply(x.data))
-            mx += 2.0 * rv * gv._adjoint(gv._apply(x.data))
+            mx += 2.0 * rho * gh._adjoint(gh._apply(x.data))
+            mx += 2.0 * rho * gv._adjoint(gv._apply(x.data))
             mx += mu * x.data
             return np.linalg.norm(mx - aux["rhs"]) / np.linalg.norm(aux["rhs"])
 
@@ -263,7 +263,7 @@ class TestHqsResidual:
             b = ImageTensor(rng.uniform(size=(1, 16, 16)))
             conv = CircularConvolution(BlurKernel.gaussian(5, 1.0 + 0.2 * trial))
             m_fft = FeasibilityModel(
-                data_op=conv, observation=b, tv_weight=5e-3, hqs_iters=3, x_solver="fft"
+                data_op=conv, observation=b, tv_weight=5e-3, hqs_iters=3
             )
             aux = {}
             x = solve_G(m_fft, b, aux=aux)
@@ -271,8 +271,7 @@ class TestHqsResidual:
 
             mask = Mask((rng.uniform(size=(16, 16)) > 0.4).astype(float))
             m_cg = FeasibilityModel(
-                data_op=mask, observation=b, tv_weight=5e-3, hqs_iters=3,
-                x_solver="cg", cg_tol=1e-8,
+                data_op=mask, observation=b, tv_weight=5e-3, hqs_iters=3, cg_tol=1e-8,
             )
             aux = {}
             x = solve_G(m_cg, b, aux=aux)

@@ -122,11 +122,14 @@ class TestExitCodes:
             ("derain", ["--levels", "-1"]),
             ("derain", ["--hqs-iters", "-2"]),
             ("derain", ["--hqs-rho", "0"]),
+            ("deblur", ["--solver", "dtlf", "--external-denoiser", 'foo "bar']),
+            ("deblur", ["--solver", "dtlf", "--external-denoiser", "   "]),
         ],
         ids=["cg-tol-nan", "rel-tol-nan", "noise-negative", "denoiser-strength",
              "levels-negative", "deblur-solver-list", "inpaint-solver-list",
              "tlf-denoiser-strength", "denoiser-rain-kind", "derain-levels-negative",
-             "derain-hqs-iters-negative", "derain-hqs-rho-zero"],
+             "derain-hqs-iters-negative", "derain-hqs-rho-zero",
+             "external-denoiser-unbalanced-quote", "external-denoiser-blank"],
     )
     def test_bad_values_rejected(self, tmp_path, task, extra):
         _, mask, observed = inpaint_fixture(seed=5, size=16)
@@ -175,6 +178,31 @@ class TestExitCodes:
         )
         assert code == 0
         assert (tmp_path / "o" / "background.pgm").exists()
+
+    def test_derain_default_rain_denoiser_on_20x20(self, tmp_path):
+        # wavelet-shrink takes the 2 levels a 20x20 image allows
+        y, _, _ = rain_fixture(seed=42, size=20)
+        write_tlft(tmp_path / "rainy.tlft", y)
+        args = ["derain", "--input", tmp_path / "rainy.tlft", "--levels", "2", "--max-iters", "2"]
+        assert run_cli(args + ["--out", tmp_path / "o"]) == 0
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--bus-c", "1e-9", "--max-iters", "1100"], ["--mu0", "1e-320", "--bus-c", "1e-9", "--max-iters", "40"]],
+        ids=["mu-decays-to-zero", "tiny-mu0"],
+    )
+    def test_mu_underflow_exits_0(self, tmp_path, extra):
+        _, kernel, blurry = deblur_fixture(seed=42, size=16)
+        write_tlft(tmp_path / "blurry.tlft", blurry)
+        write_kernel(tmp_path / "kernel.txt", kernel)
+        args = [
+            "deblur", "--input", tmp_path / "blurry.tlft", "--kernel", tmp_path / "kernel.txt",
+            "--levels", "2", "--solver", "dtlf", "--rel-tol", "0", "--out", tmp_path / "o",
+        ]
+        assert run_cli(args + extra) == 0
+        rows = (tmp_path / "o" / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == int(extra[-1])
+        assert rows[-1].split(",")[7] == "0"  # mu
 
 
 class TestBench:

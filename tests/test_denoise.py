@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tlf.denoise import DenoiserSpec, denoise, external_roundtrip
-from tlf.errors import ConfigError, DenoiserError
+from tlf.errors import ConfigError, DenoiserError, ShapeError
 from tlf.prox import ProxSpec, prox_lp
 from tlf.tensor import GradientH, GradientV, ImageTensor, WaveletForward, WaveletInverse
 
@@ -25,6 +25,11 @@ class TestSpec:
     def test_external_needs_command(self):
         with pytest.raises(ConfigError):
             DenoiserSpec(kind="external")
+
+    @pytest.mark.parametrize("command", ['foo "bar', "   "], ids=["unbalanced-quote", "blank"])
+    def test_external_command_split_when_built(self, command):
+        with pytest.raises(ConfigError):
+            DenoiserSpec(kind="external", command=command)
 
     def test_parse_single(self):
         spec = DenoiserSpec.parse("tv-rof:0.05")
@@ -81,6 +86,19 @@ class TestDesignedDenoisers:
             prox_lp(WaveletForward(3).apply(x), ProxSpec(1.0, tau))
         )
         assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("h,w,levels", [(20, 20, 2), (24, 12, 2), (8, 6, 1)])
+    def test_wavelet_shrink_levels_follow_the_size(self, rng, h, w, levels):
+        x = random_image(rng, h, w)
+        got = denoise(DenoiserSpec(kind="wavelet-shrink", strength=0.03), x, 0)
+        want = WaveletInverse(levels).apply(
+            prox_lp(WaveletForward(levels).apply(x), ProxSpec(1.0, 0.03))
+        )
+        assert np.array_equal(got.data, want.data)
+
+    def test_wavelet_shrink_odd_side_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            denoise(DenoiserSpec(kind="wavelet-shrink", strength=0.03), random_image(rng, 9, 8), 0)
 
     def test_negative_iter_index(self, rng):
         with pytest.raises(ConfigError):

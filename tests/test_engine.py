@@ -36,7 +36,7 @@ def image_space_setup(rng, h=32, w=32, lam1=5e-4, lam2=2e-3, p=1.0):
     lip = estimate_lipschitz(op, (h, w), iters=100)
     prob = CompositeProblem(op, b, ProxSpec(p, lam1), lip)
     feas = FeasibilityModel(
-        data_op=op, observation=b, tv_weight=lam2, hqs_iters=5, x_solver="fft"
+        data_op=op, observation=b, tv_weight=lam2, hqs_iters=5
     )
     return prob, feas, gt
 
@@ -197,6 +197,16 @@ class TestDtlfSolve:
             # anchored solve pinned at x itself: left side of the bound ~ 0
             assert rec.bus_branch == BUS_ACCEPTED
             assert rec.norm_xGmu_x <= 1e-3 * rec.norm_xG_x
+
+    def test_mu_underflow_keeps_running(self, rng):
+        # every anchored point is rejected, so mu halves from 1e-320 to 0
+        prob, feas, _ = image_space_setup(rng, 16, 16)
+        params = SolverParams(max_iters=40, rel_tol=0.0, mu0=1e-320, bus_c=1e-9)
+        spec = DenoiserSpec(kind="tv-rof", strength=0.01)
+        _, trace = dtlf_solve(prob, feas, spec, params)
+        assert len(trace) == 40
+        assert all(rec.bus_branch == BUS_FALLBACK for rec in trace)
+        assert trace.final().mu == 0.0
 
     def test_denoiser_failure_becomes_bus_fallback(self, rng, failing_denoiser):
         prob, feas, _ = image_space_setup(rng, 16, 16)

@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tlf.tasks import build_inpaint
 from tlf.tensor import (
     BlurKernel,
     CircularConvolution,
+    Composition,
     GradientH,
     GradientV,
     Identity,
@@ -27,56 +29,50 @@ _GV = GradientV()
 def normal_apply(model, x, mu=0.0):
     """Oracle application of the x-subproblem normal operator."""
     k = model.data_op
-    rh, rv = model.hqs_rho
+    rho = model.hqs_rho
     out = k._adjoint(k._apply(x))
-    out = out + 2.0 * rh * _GH._adjoint(_GH._apply(x))
-    out = out + 2.0 * rv * _GV._adjoint(_GV._apply(x))
+    out = out + 2.0 * rho * _GH._adjoint(_GH._apply(x))
+    out = out + 2.0 * rho * _GV._adjoint(_GV._apply(x))
     return out + mu * x
 
 
 def blur_model(rng, h=16, w=16, **kw):
     op = CircularConvolution(BlurKernel.gaussian(5, 1.2))
     b = random_image(rng, h, w)
-    defaults = dict(tv_weight=5e-3, tv_q=1.0, hqs_iters=4, x_solver="fft")
+    defaults = dict(tv_weight=5e-3, tv_q=1.0, hqs_iters=4)
     defaults.update(kw)
     return FeasibilityModel(data_op=op, observation=b, **defaults)
 
 
-class TestModelValidation:
-    def test_fft_with_mask_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            FeasibilityModel(
-                data_op=Mask(np.ones((8, 8))),
-                observation=random_image(rng, 8, 8),
-                tv_weight=0.01,
-                x_solver="fft",
-            )
+def as_cg(model, **kw):
+    """The same circulant system behind a non-circulant operator, so CG solves it."""
+    return replace(model, data_op=Composition([model.data_op]), **kw)
 
+
+class TestModelValidation:
     def test_bad_rho(self, rng):
         with pytest.raises(ConfigError):
-            blur_model(rng, hqs_rho=(0.0, 0.1))
+            blur_model(rng, hqs_rho=0.0)
 
     def test_bad_cg_settings(self, rng):
         bad = [{"cg_tol": t} for t in (float("nan"), float("inf"), 0.0, -1e-8)]
         bad += [{"cg_max_iters": n} for n in (0, -3)]
         for kw in bad:
             with pytest.raises(ConfigError):
-                blur_model(rng, x_solver="cg", **kw)
+                blur_model(rng, **kw)
+
+    def test_solver_follows_the_operator(self, rng):
+        assert blur_model(rng).fft_base is not None
+        assert as_cg(blur_model(rng)).fft_base is None
 
     def test_anchor_preconditions(self, rng):
         model = blur_model(rng)
         x = random_image(rng)
+        for mu in (-1.0, -1e-300, float("nan")):
+            with pytest.raises(ValidationError):
+                solve_G_mu(model, x, x, mu)
         with pytest.raises(ValidationError):
-            solve_G_mu(model, x)  # no anchor
-        anchored = model.with_anchor(x, 0.0)
-        with pytest.raises(ValidationError):
-            solve_G_mu(anchored, x)  # mu = 0
-        with pytest.raises(ValidationError):
-            solve_G(anchored, x)  # anchor present
-        with pytest.raises(ConfigError):
-            model.with_anchor(x, -1.0)
-        with pytest.raises(ConfigError):
-            model.with_anchor(random_image(rng, 8, 8), 0.5)
+            solve_G_mu(model, x, random_image(rng, 8, 8), 0.5)  # anchor shape
 
 
 class TestSolveG:
@@ -104,8 +100,9 @@ class TestSolveG:
 
     @pytest.mark.parametrize("solver", ["fft", "cg"])
     def test_normal_equation_residual(self, rng, solver):
-        op_kw = {"x_solver": solver}
-        model = blur_model(rng, **op_kw)
+        model = blur_model(rng)
+        if solver == "cg":
+            model = as_cg(model)
         aux = {}
         x = solve_G(model, model.observation, aux=aux)
         rhs = aux["rhs"]
@@ -120,7 +117,6 @@ class TestSolveG:
             observation=random_image(rng, 16, 16),
             tv_weight=5e-3,
             hqs_iters=3,
-            x_solver="cg",
             cg_tol=1e-8,
         )
         aux = {}
@@ -129,10 +125,8 @@ class TestSolveG:
         assert np.linalg.norm(res) / np.linalg.norm(aux["rhs"]) <= model.cg_tol
 
     def test_fft_and_cg_agree_on_circulant(self, rng):
-        from dataclasses import replace
-
-        m_fft = blur_model(rng, x_solver="fft")
-        m_cg = replace(m_fft, x_solver="cg", cg_tol=1e-10)
+        m_fft = blur_model(rng)
+        m_cg = as_cg(m_fft, cg_tol=1e-10)
         x0 = m_fft.observation
         a = solve_G(m_fft, x0)
         b = solve_G(m_cg, x0)
@@ -159,7 +153,6 @@ class TestSolveG:
             observation=random_image(rng, 16, 16),
             tv_weight=5e-3,
             hqs_iters=1,
-            x_solver="cg",
             cg_tol=1e-12,
             cg_max_iters=2,
         )
@@ -184,8 +177,7 @@ class TestNormalOperator:
             data_op=make(),
             observation=random_image(rng, h, w, c=channels),
             tv_weight=5e-3,
-            hqs_rho=(0.05, 0.08),
-            x_solver="cg",
+            hqs_rho=0.08,
         )
         for mu in (0.0, 0.7):
             matvec = _normal_operator(model, mu)
@@ -200,13 +192,13 @@ class TestSharedModel:
     def test_threads_share_one_cg_model(self):
         gt, mask, observed = inpaint_fixture(seed=5, size=32)
         _, model = build_inpaint(observed, mask, **INPAINT_WEIGHTS)
-        jobs = [(solve_G, model), (solve_G_mu, model.with_anchor(gt, 0.5))] * 2
-        want = [solve(m, observed).data for solve, m in jobs]
+        jobs = [lambda: solve_G(model, observed), lambda: solve_G_mu(model, observed, gt, 0.5)] * 2
+        want = [job().data for job in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                futures = [pool.submit(solve, m, observed) for solve, m in jobs]
+                futures = [pool.submit(job) for job in jobs]
                 got = [f.result(timeout=120).data for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -218,24 +210,33 @@ class TestSolveGMu:
     def test_huge_mu_returns_anchor(self, rng):
         model = blur_model(rng)
         target = random_image(rng)
-        out = solve_G_mu(model.with_anchor(target, 1e8), model.observation)
+        out = solve_G_mu(model, model.observation, target, 1e8)
         rel = np.linalg.norm(out.data - target.data) / np.linalg.norm(target.data)
         assert rel <= 1e-4
 
     def test_residual_includes_mu_term(self, rng):
         model = blur_model(rng)
-        anchored = model.with_anchor(random_image(rng), 0.7)
         aux = {}
-        x = solve_G_mu(anchored, model.observation, aux=aux)
-        res = normal_apply(anchored, x.data, mu=0.7) - aux["rhs"]
+        x = solve_G_mu(model, model.observation, random_image(rng), 0.7, aux=aux)
+        res = normal_apply(model, x.data, mu=0.7) - aux["rhs"]
         assert np.linalg.norm(res) / np.linalg.norm(aux["rhs"]) <= 1e-8
 
     def test_energy_nonincreasing_with_anchor(self, rng):
-        model = blur_model(rng, hqs_iters=6).with_anchor(random_image(rng), 0.3)
+        model = blur_model(rng, hqs_iters=6)
         log = []
-        solve_G_mu(model, model.observation, energy_log=log)
+        solve_G_mu(model, model.observation, random_image(rng), 0.3, energy_log=log)
         for a, b in zip(log, log[1:]):
             assert b <= a + 1e-10
+
+    @pytest.mark.parametrize("solver", ["fft", "cg"])
+    def test_mu_zero_is_solve_G(self, rng, solver):
+        # a BUS weight that decays to 0 leaves the unanchored solve
+        model = blur_model(rng)
+        if solver == "cg":
+            model = as_cg(model)
+        x0, anchor = random_image(rng), random_image(rng)
+        got = solve_G_mu(model, x0, anchor, 0.0)
+        assert np.array_equal(got.data, solve_G(model, x0).data)
 
 
 def conv_model(b, sigma=1.2, **kw):
@@ -255,12 +256,12 @@ class TestPrecomputedSpectra:
         b, x0, anchor = (random_image(rng, 12, 16, c=3) for _ in range(3))
         model = make(b)
         got_g = solve_G(model, x0).data
-        got_mu = solve_G_mu(model.with_anchor(anchor, 0.7), x0).data
+        got_mu = solve_G_mu(model, x0, anchor, 0.7).data
         for c in range(3):
             b_c, x0_c, anchor_c = (ImageTensor(t.data[c]) for t in (b, x0, anchor))
             model_c = make(b_c)
             assert np.array_equal(got_g[c], solve_G(model_c, x0_c).data[0])
-            want_mu = solve_G_mu(model_c.with_anchor(anchor_c, 0.7), x0_c).data[0]
+            want_mu = solve_G_mu(model_c, x0_c, anchor_c, 0.7).data[0]
             assert np.array_equal(got_mu[c], want_mu)
 
     def test_models_of_one_shape_keep_their_own_spectra(self, rng):
@@ -278,14 +279,6 @@ class TestPrecomputedSpectra:
                 res = normal_apply(model, x.data) - aux["rhs"]
                 assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(aux["rhs"])
 
-    def test_with_anchor_equals_fresh_anchored_model(self, rng):
-        b, x0, anchor = (random_image(rng) for _ in range(3))
-        model = conv_model(b)
-        anchored = model.with_anchor(anchor, 0.7)
-        assert anchored.ktb is model.ktb and anchored.fft_base is model.fft_base
-        fresh = conv_model(b, anchor=(anchor, 0.7))
-        assert np.array_equal(solve_G_mu(anchored, x0).data, solve_G_mu(fresh, x0).data)
-
 
 class TestEnergy:
     def test_energy_matches_hand_sum(self, rng):
@@ -295,9 +288,9 @@ class TestEnergy:
         zv = rng.standard_normal((1, 8, 8))
         got = hqs_energy(model, x, zh, zv)
         k = model.data_op
-        rh, rv = model.hqs_rho
+        rho = model.hqs_rho
         want = 0.5 * np.sum((k._apply(x) - model.observation.data) ** 2)
-        want += rh * np.sum((zh - _GH._apply(x)) ** 2)
-        want += rv * np.sum((zv - _GV._apply(x)) ** 2)
+        want += rho * np.sum((zh - _GH._apply(x)) ** 2)
+        want += rho * np.sum((zv - _GV._apply(x)) ** 2)
         want += model.tv_weight * (np.abs(zh).sum() + np.abs(zv).sum())
         assert got == pytest.approx(want, rel=1e-12)

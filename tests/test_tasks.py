@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestBuildInpaint:
         mask = (rng.uniform(size=(16, 16)) > 0.4).astype(float)
         prob, feas = build_inpaint(obs, mask, lambda1=1e-3)
         assert prob.lipschitz == 1.0
-        assert feas.x_solver == "cg"
+        assert feas.fft_base is None  # a mask is not circulant: CG
 
 
 def small_rain_setup(rng):
@@ -257,6 +258,15 @@ class TestDerainSolve:
             assert new.eta2 == params.beta * state.eta2
             state = new
 
+    def test_eta_underflow_keeps_running(self):
+        y, _, _ = rain_fixture(seed=42, size=32)
+        params = replace(derain_params(max_iters=30, rel_tol=0.0), mu0=1e-320, bus_c=1e-9)
+        state = derain_init(y, DerainWeights(), params)
+        for k in range(params.max_iters):
+            state, rec = derain_step(y, state, derain_denoisers(), params, k)
+            assert rec.bus_branch == BUS_FALLBACK
+        assert state.eta1 == 0.0 and state.eta2 == 0.0
+
     def test_init_levels_reach_the_steps(self):
         # 20 is divisible by 4 but not by 8: only a 2-level state can step
         y, _, _ = rain_fixture(seed=42, size=20)
@@ -264,7 +274,7 @@ class TestDerainSolve:
         state = derain_init(y, DerainWeights(), params, levels=2)
         assert state.levels == 2
         assert state.beta.data.shape == WaveletForward(2).apply(y).data.shape
-        tv = DenoiserSpec(kind="tv-rof", strength=0.01)  # wavelet-shrink needs 8 | size
+        tv = DenoiserSpec(kind="tv-rof", strength=0.01)
         new, trace = derain_solve(y, state, (tv, tv), params)
         assert new.levels == 2 and len(trace) == 2
 
@@ -273,8 +283,6 @@ class TestDerainSolve:
         params = derain_params(max_iters=5)
         w = DerainWeights()
         state = derain_init(y, w, params)
-        from dataclasses import replace
-
         bad = replace(state, x_r=ImageTensor(state.x_r.data + 1.5))
         with pytest.raises(ValidationError):
             derain_solve(y, bad, derain_denoisers(), params)
