@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields
 
 from .denoise import DenoiserSpec
 from .errors import ConfigError
+from .prox import canonical_p
 
 TASKS = ("deblur", "inpaint", "derain", "bench")
 SOLVERS = ("pg", "apg", "mapg", "tlf", "dtlf")
@@ -97,6 +98,15 @@ class ExperimentConfig:
             raise ConfigError(f"hqs_iters must be >= 1, got {self.hqs_iters}")
         if not self.hqs_rho > 0:
             raise ConfigError(f"hqs_rho must be > 0, got {self.hqs_rho}")
+        # every task's regularization keys, whether or not this task reads them
+        for key in ("lambda1", "lambda2", "nu1", "nu2", "rho1", "rho2", "recon_weight"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        for key in ("p", "q", "p1", "p2"):
+            try:
+                canonical_p(getattr(self, key))
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         # both specs, whether or not this task and solver read them
         self.denoiser_spec()
         DenoiserSpec.parse(self.denoiser_rain)

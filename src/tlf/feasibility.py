@@ -9,10 +9,13 @@ solves the quadratic x-subproblem
     (K^T K + sum_j 2*rho grad_j^T grad_j + mu*I) x
         = K^T b + sum_j 2*rho grad_j^T z_j + mu*x_tilde
 
-exactly in the frequency domain when K is circulant, or by warm-started
-conjugate gradient otherwise (mask operators for inpainting).  The model
-holds what a solve cannot change; the anchor (x_tilde, mu) is an argument
-of each anchored solve.
+exactly in the frequency domain when K is circulant, or otherwise (mask
+operators for inpainting) by warm-started conjugate gradient with a Jacobi
+preconditioner: D = diag(K^T K) + 2*rho*(2[W>1] + 2[H>1]) + mu, the
+matrix's own diagonal.  CG stops once ||r|| <= cg_tol/2 * ||rhs||; a true
+relative residual above cg_tol after cg_max_iters iterations raises
+NumericalError.  The model holds what a solve cannot change; the anchor
+(x_tilde, mu), D and the CG buffers belong to each solve call.
 """
 
 import math
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ValidationError
 from .prox import ProxSpec, lp_penalty, prox_lp_array
-from .tensor import CircularConvolution, Identity, ImageTensor, LinearOperator, wrap_diff
+from .tensor import CircularConvolution, Identity, ImageTensor, LinearOperator, diff_stencil, wrap_diff
 
 
 def _is_circulant(op: LinearOperator) -> bool:
@@ -85,36 +88,44 @@ def _fft_solve(model, rhs, mu):
     return np.fft.irfft2(np.fft.rfft2(rhs) / (model.fft_base + mu), s=rhs.shape[1:])
 
 
-def _cg_solve(matvec, rhs, x0, tol, max_iters):
-    """Warm-started CG on matvec(x) = rhs, to relative residual ``tol``.
+def _cg_solve(matvec, rhs, x0, tol, max_iters, diag):
+    """Warm-started Jacobi-preconditioned CG on matvec(x) = rhs.
 
-    ``matvec`` may return the same buffer on every call, so its result is
-    used up before the next call. x, r and p are updated in place.
+    ``diag`` is the positive preconditioner D (an array or a scalar); each
+    iteration preconditions the residual as z = r / D. The stop rule is on
+    the unpreconditioned residual, ||r|| <= tol/2 * ||rhs||, and the result
+    must then meet ||rhs - matvec(x)|| <= tol * ||rhs||, or NumericalError is
+    raised. ``matvec`` may return the same buffer on every call, so its
+    result is used up before the next call. x, r, z and p are updated in
+    place.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
+    stop = 0.5 * tol * rhs_norm
     x = x0.copy()
     r = rhs - matvec(x)
-    p = r.copy()
+    z = r / diag
+    p = z.copy()
     tmp = np.empty_like(r)
-    rs = float(np.vdot(r, r).real)
-    for it in range(max_iters):
-        if np.sqrt(rs) <= 0.5 * tol * rhs_norm:
+    rz = float(np.vdot(r, z))
+    for _ in range(max_iters):
+        if math.sqrt(float(np.vdot(r, r))) <= stop:
             break
         ap = matvec(p)
-        pap = float(np.vdot(p, ap).real)
+        pap = float(np.vdot(p, ap))
         if pap <= 0.0:
             break
-        a = rs / pap
+        a = rz / pap
         np.multiply(p, a, out=tmp)
         x += tmp
         np.multiply(ap, a, out=tmp)
         r -= tmp
-        rs_new = float(np.vdot(r, r).real)
-        p *= rs_new / rs
-        np.add(r, p, out=p)
-        rs = rs_new
+        np.divide(r, diag, out=z)
+        rz_new = float(np.vdot(r, z))
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
     true_res = float(np.linalg.norm(rhs - matvec(x))) / rhs_norm
     if not true_res <= tol:  # a NaN residual is a stall too
         raise NumericalError(
@@ -124,23 +135,44 @@ def _cg_solve(matvec, rhs, x0, tol, max_iters):
     return x
 
 
+def _jacobi_diagonal(model, mu):
+    """diag of the normal operator: diag(K^T K) + 2 rho (2[W>1] + 2[H>1]) + mu.
+
+    A wrapped difference along a side of length 1 is zero, so that axis adds
+    nothing. An operator that cannot state its Gram diagonal counts as 1,
+    which makes D a scalar. Summed in the matvec's order, so D equals the
+    matvec probed with unit vectors bit for bit.
+    """
+    gram = model.data_op.gram_diagonal()
+    weight = 2.0 * model.hqs_rho
+    _, h, w = model.observation.shape
+    return (1.0 if gram is None else gram) + weight * 2.0 * (w > 1) + weight * 2.0 * (h > 1) + mu
+
+
 def _normal_operator(model, mu):
     """v -> (K^T K + 2 rho G_h^T G_h + 2 rho G_v^T G_v + mu I) v for CG.
 
     Each element goes through the same IEEE operations, in the same order, as
-    composing the operators, so CG iterates do not change. The buffers belong
-    to the returned function; it returns the same one on every call. Build one
-    per solve: threads may share a model.
+    composing the operators, so CG iterates do not change. The buffers and
+    their difference views belong to the returned function, which returns
+    the same buffer on every call; the input's views are remade only when a
+    different array comes in. Build one per solve: threads may share a
+    model. Inputs must be C-contiguous.
     """
     k_op = model.data_op
     weight = 2.0 * model.hqs_rho
     out, g, gg = (np.empty(model.observation.shape) for _ in range(3))
+    axes = (-1, -2)  # G_h, then G_v
+    second = [diff_stencil(g, gg, axis, False) for axis in axes]
+    first = [None, None]  # the last input array and its forward-difference views
 
     def matvec(v):
-        # K^T K v may be v itself (Identity): copy it, never add into it.
-        np.copyto(out, k_op._adjoint(k_op._apply(v)))
-        for axis in (-1, -2):  # G_h, then G_v
-            wrap_diff(wrap_diff(v, axis, True, out=g), axis, False, out=gg)
+        if first[0] is not v:
+            first[:] = v, [diff_stencil(v, g, axis, True) for axis in axes]
+        k_op._gram(v, out)
+        for fwd, bwd in zip(first[1], second):
+            for minuend, subtrahend, dst in fwd + bwd:
+                np.subtract(minuend, subtrahend, out=dst)
             np.multiply(gg, weight, out=gg)
             np.add(out, gg, out=out)
         if mu > 0.0:
@@ -182,7 +214,10 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu, energy_log=No
     if energy_log is not None:
         energy_log.append(hqs_energy(model, x, wrap_diff(x, -1, True), wrap_diff(x, -2, True), anchor_arr, mu))
 
-    matvec = _normal_operator(model, mu) if model.fft_base is None else None
+    if model.fft_base is None:
+        matvec, diag = _normal_operator(model, mu), _jacobi_diagonal(model, mu)
+    else:
+        matvec = None
 
     for _ in range(model.hqs_iters):
         zh = prox_lp_array(wrap_diff(x, -1, True), spec)
@@ -193,7 +228,7 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu, energy_log=No
         if matvec is None:
             x = _fft_solve(model, rhs, mu)
         else:
-            x = _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters)
+            x = _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters, diag)
         if energy_log is not None:
             energy_log.append(hqs_energy(model, x, zh, zv, anchor_arr, mu))
     if aux is not None:

@@ -141,6 +141,15 @@ class LinearOperator:
     def _check(self, a):
         return a
 
+    def gram_diagonal(self):
+        """diag(A^T A), broadcastable to the image shape; None when unknown."""
+        return None
+
+    def _gram(self, a, out):
+        """Write A^T A a into ``out``."""
+        # A^T A a may be a itself (Identity): copy it, never write into it.
+        np.copyto(out, self._adjoint(self._apply(a)))
+
     def apply(self, x: ImageTensor) -> ImageTensor:
         return ImageTensor(self._apply(self._check(x.data)))
 
@@ -149,6 +158,9 @@ class LinearOperator:
 
 
 class Identity(LinearOperator):
+    def gram_diagonal(self):
+        return 1.0
+
     def _apply(self, a):
         return a
 
@@ -179,6 +191,10 @@ class CircularConvolution(LinearOperator):
             pair = (resp, np.conj(resp))
             self._freq_cache[key] = pair
         return pair
+
+    def gram_diagonal(self):
+        # every column of a circulant matrix holds each tap once
+        return float(np.sum(self.kernel.taps ** 2))
 
     def frequency_response(self, height, width):
         """rfft2 of the kernel embedded at the origin of an HxW grid."""
@@ -216,11 +232,47 @@ class Mask(LinearOperator):
             raise ShapeError(f"mask {self.mask.shape} vs image {a.shape}")
         return a
 
+    def gram_diagonal(self):
+        return self.mask
+
+    def _gram(self, a, out):
+        # one product: for a 0/1 mask, a*m equals (a*m)*m bit for bit,
+        # signed zeros included
+        np.multiply(a, self.mask, out=out)
+
     def _apply(self, a):
         return a * self.mask
 
     def _adjoint(self, a):
         return a * self.mask
+
+
+def diff_stencil(a, out, axis, forward):
+    """The two (minuend, subtrahend, destination) view triples of wrap_diff.
+
+    Subtracting each triple in order writes ``wrap_diff(a, axis, forward)``
+    into ``out``. Both arrays must be C-contiguous, of one shape, and not the
+    same array. A caller that differences the same arrays many times makes
+    the views once.
+    """
+    # forward: out[i] = a[i+1] - a[i]; backward: out[i] = a[i-1] - a[i]
+    if forward:
+        dst, src, edge, wrap = slice(None, -1), slice(1, None), -1, 0
+    else:
+        dst, src, edge, wrap = slice(1, None), slice(None, -1), 0, -1
+    if axis == -2:
+        return (
+            (a[..., src, :], a[..., dst, :], out[..., dst, :]),
+            (a[..., wrap, :], a[..., edge, :], out[..., edge, :]),
+        )
+    # A last-axis slice subtraction writes a strided output, which is slower
+    # than np.roll at 256x256. One pass over the flat view instead; it gets
+    # the wrapped column wrong, so the second triple redoes that column.
+    flat_a, flat_out = a.reshape(-1), out.reshape(-1)
+    return (
+        (flat_a[src], flat_a[dst], flat_out[dst]),
+        (a[..., wrap], a[..., edge], out[..., edge]),
+    )
 
 
 def wrap_diff(a, axis, forward, out=None):
@@ -233,21 +285,9 @@ def wrap_diff(a, axis, forward, out=None):
     a = np.ascontiguousarray(a)
     if out is None:
         out = np.empty_like(a)
-    # forward: out[i] = a[i+1] - a[i]; backward: out[i] = a[i-1] - a[i]
-    if forward:
-        dst, src, edge, wrap = slice(None, -1), slice(1, None), -1, 0
-    else:
-        dst, src, edge, wrap = slice(1, None), slice(None, -1), 0, -1
-    if axis == -2:
-        np.subtract(a[..., src, :], a[..., dst, :], out=out[..., dst, :])
-        np.subtract(a[..., wrap, :], a[..., edge, :], out=out[..., edge, :])
-    else:
-        # A last-axis slice subtraction writes a strided output, which is
-        # slower than np.roll at 256x256. One pass over the flat view instead;
-        # it gets the wrapped column wrong, so that column is redone.
-        flat_a, flat_out = a.reshape(-1), out.reshape(-1)
-        np.subtract(flat_a[src], flat_a[dst], out=flat_out[dst])
-        np.subtract(a[..., wrap], a[..., edge], out=out[..., edge])
+    (a1, b1, o1), (a2, b2, o2) = diff_stencil(a, out, axis, forward)
+    np.subtract(a1, b1, out=o1)
+    np.subtract(a2, b2, out=o2)
     return out
 
 

@@ -47,6 +47,8 @@ class TestFlags:
             assert action.option_strings == [flag]
             if isinstance(default, str):
                 value = {"solver": "pg", "denoiser": "median", "denoiser_rain": "median"}.get(key, "v")
+            elif key in ("p", "q", "p1", "p2"):
+                value = 0.5  # an exponent must be one of 0, 1/2, 2/3, 1
             else:
                 value = default + 1 if isinstance(default, int) else default + 0.5
             assert run_cli(["deblur", "--input", "x", flag, value]) == 0
@@ -124,12 +126,18 @@ class TestExitCodes:
             ("derain", ["--hqs-rho", "0"]),
             ("deblur", ["--solver", "dtlf", "--external-denoiser", 'foo "bar']),
             ("deblur", ["--solver", "dtlf", "--external-denoiser", "   "]),
+            ("derain", ["--lambda1", "-3"]),
+            ("derain", ["--lambda2", "-1"]),
+            ("inpaint", ["--nu1", "-1"]),
+            ("inpaint", ["--p1", "0.3"]),
         ],
         ids=["cg-tol-nan", "rel-tol-nan", "noise-negative", "denoiser-strength",
              "levels-negative", "deblur-solver-list", "inpaint-solver-list",
              "tlf-denoiser-strength", "denoiser-rain-kind", "derain-levels-negative",
              "derain-hqs-iters-negative", "derain-hqs-rho-zero",
-             "external-denoiser-unbalanced-quote", "external-denoiser-blank"],
+             "external-denoiser-unbalanced-quote", "external-denoiser-blank",
+             "derain-lambda1-negative", "derain-lambda2-negative", "inpaint-nu1-negative",
+             "inpaint-p1-unsupported"],
     )
     def test_bad_values_rejected(self, tmp_path, task, extra):
         _, mask, observed = inpaint_fixture(seed=5, size=16)
@@ -144,6 +152,14 @@ class TestExitCodes:
             "--out", tmp_path / "o",
         ]
         assert run_cli(args + extra) == 1
+
+    def test_cg_stall_exits_3(self, tmp_path, capsys):
+        _, mask, observed = inpaint_fixture(seed=5, size=16)
+        write_tlft(tmp_path / "obs.tlft", observed)
+        write_mask(tmp_path / "mask.pgm", mask)
+        args = ["inpaint", "--input", tmp_path / "obs.tlft", "--mask", tmp_path / "mask.pgm"]
+        assert run_cli(args + ["--cg-tol", "1e-300", "--out", tmp_path / "o"]) == 3
+        assert "numerical error: CG stalled" in capsys.readouterr().err
 
     def test_external_denoiser_replaces_denoiser(self, deblur_files, echo_denoiser):
         # --denoiser external alone has no command; --external-denoiser supplies it
@@ -384,18 +400,27 @@ class TestGoldenTrace:
             ("golden_derain_bus_trace.csv",
              ["derain", "--input", "rainy.tlft", "--gt", "rain_gt.tlft",
               "--max-iters", "12", "--rel-tol", "0", "--bus-c", "0.5"]),
+            # the masked x-step runs CG
+            ("golden_inpaint_dtlf_trace.csv",
+             ["inpaint", "--input", "masked.tlft", "--mask", "mask.pgm", "--gt", "inpaint_gt.tlft",
+              "--solver", "dtlf", "--max-iters", "40", "--rel-tol", "0", "--lambda2", "0.02",
+              "--mu0", "0.001", "--denoiser", "median:1"]),
         ],
-        ids=["deblur-dtlf", "derain", "deblur-dtlf-bus-reject", "derain-bus-reject"],
+        ids=["deblur-dtlf", "derain", "deblur-dtlf-bus-reject", "derain-bus-reject", "inpaint-dtlf"],
     )
     def test_reproduces_golden_trace(self, deblur_files, golden, args):
-        """The same comparison for DTLF and for the derain block."""
+        """The same comparison for DTLF, the derain block and inpainting."""
         import csv
 
         y, xb, _ = rain_fixture(seed=42, size=64)
         write_tlft(deblur_files / "rainy.tlft", y)
         write_tlft(deblur_files / "rain_gt.tlft", xb)
+        gt, mask, observed = inpaint_fixture(seed=42, size=64)
+        write_tlft(deblur_files / "masked.tlft", observed)
+        write_tlft(deblur_files / "inpaint_gt.tlft", gt)
+        write_mask(deblur_files / "mask.pgm", mask)
         out = deblur_files / "golden_run"
-        args = [deblur_files / a if a.endswith((".tlft", ".txt")) else a for a in args]
+        args = [deblur_files / a if a.endswith((".tlft", ".txt", ".pgm")) else a for a in args]
         assert run_cli(args + ["--out", out]) == 0
         with open(DATA / golden) as fh:
             golden_rows = list(csv.DictReader(fh))

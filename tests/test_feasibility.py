@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tlf.errors import ConfigError, NumericalError, ValidationError
-from tlf.feasibility import FeasibilityModel, _normal_operator, hqs_energy, solve_G, solve_G_mu
+from tlf.feasibility import FeasibilityModel, _jacobi_diagonal, _normal_operator, hqs_energy, solve_G, solve_G_mu
 from tlf.fixtures import INPAINT_WEIGHTS, inpaint_fixture
 from tlf.tasks import build_inpaint
 from tlf.tensor import (
@@ -186,6 +186,74 @@ class TestNormalOperator:
                 before = v.copy()
                 assert np.array_equal(matvec(v), normal_apply(model, v, mu))
                 assert np.array_equal(v, before)
+
+
+def probed_diagonal(apply, shape):
+    """diag of a linear map, read off its images of the unit vectors."""
+    diag = np.empty(shape)
+    for idx in np.ndindex(*shape):
+        e = np.zeros(shape)
+        e[idx] = 1.0
+        diag[idx] = apply(e)[idx]
+    return diag
+
+
+def mask_model(rng, h, w, channels=1, **kw):
+    mask = (rng.uniform(size=(h, w)) > 0.4).astype(float)
+    mask.flat[0] = 0.0  # one missing pixel at least
+    return FeasibilityModel(
+        data_op=Mask(mask), observation=random_image(rng, h, w, c=channels), tv_weight=5e-3, **kw
+    )
+
+
+def test_normal_operator_sees_in_place_changes(rng):
+    # CG passes its p buffer again after updating it in place
+    model = mask_model(rng, 12, 16, channels=3)
+    matvec = _normal_operator(model, 0.7)
+    v = rng.standard_normal((3, 12, 16))
+    for _ in range(3):
+        assert np.array_equal(matvec(v), normal_apply(model, v, 0.7))
+        v *= -0.5
+        v += 1.0
+
+
+class TestJacobiPreconditioner:
+    """D is the diagonal of the CG normal operator."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.7])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("h,w", [(1, 8), (8, 1), (6, 8)])
+    def test_equal_to_unit_probes(self, rng, h, w, channels, mu):
+        model = mask_model(rng, h, w, channels, hqs_rho=0.08)
+        shape = (channels, h, w)
+        want = probed_diagonal(_normal_operator(model, mu), shape)
+        got = np.broadcast_to(_jacobi_diagonal(model, mu), shape)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda m: Mask(m), lambda m: Identity(), lambda m: CircularConvolution(BlurKernel.gaussian(5, 1.2))],
+        ids=["mask", "identity", "conv"],
+    )
+    def test_operators_state_their_gram_diagonal(self, rng, make):
+        op = make((rng.uniform(size=(6, 8)) > 0.4).astype(float))
+        want = probed_diagonal(lambda e: op._adjoint(op._apply(e)), (1, 6, 8))
+        got = np.broadcast_to(op.gram_diagonal(), want.shape)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_unknown_gram_diagonal_counts_as_one(self, rng):
+        model = as_cg(blur_model(rng, hqs_rho=0.08))
+        assert Composition([Identity()]).gram_diagonal() is None
+        assert _jacobi_diagonal(model, 0.5) == pytest.approx(1.0 + 4 * 0.16 + 0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("h,w", [(1, 8), (8, 1)])
+    def test_one_pixel_wide_mask_solves_to_tol(self, rng, h, w):
+        model = mask_model(rng, h, w, channels=3, hqs_iters=3)
+        for mu in (0.0, 0.7):
+            aux = {}
+            x = solve_G_mu(model, model.observation, random_image(rng, h, w, c=3), mu, aux=aux)
+            res = normal_apply(model, x.data, mu) - aux["rhs"]
+            assert np.linalg.norm(res) / np.linalg.norm(aux["rhs"]) <= model.cg_tol
 
 
 class TestSharedModel:

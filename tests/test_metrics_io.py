@@ -267,3 +267,15 @@ class TestConfig:
             ExperimentConfig.from_mappings({"task": "sharpen", "input": "x"})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_mappings({"solver": "sgd", "input": "x"})
+
+    @pytest.mark.parametrize("task", ["deblur", "derain"])
+    def test_regularization_keys_checked_for_every_task(self, task):
+        base = {"task": task, "input": "x"}
+        for key in ("lambda1", "lambda2", "nu1", "nu2", "rho1", "rho2", "recon_weight"):
+            ExperimentConfig.from_mappings(base, {key: "0"})
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_mappings(base, {key: "-1e-9"})
+        for key in ("p", "q", "p1", "p2"):
+            ExperimentConfig.from_mappings(base, {key: "2/3"})
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_mappings(base, {key: "0.3"})
