@@ -13,8 +13,8 @@ import timeit
 import numpy as np
 
 from tlf import _kernels as K
-from tlf.feasibility import FeasibilityModel, _normal_operator
-from tlf.tensor import ImageTensor, Mask, wrap_diff
+from tlf.feasibility import FeasibilityModel, _normal_operator, solve_G
+from tlf.tensor import BlurKernel, CircularConvolution, ImageTensor, Mask, wrap_diff
 
 
 def time_call(fn, repeats):
@@ -40,6 +40,14 @@ def main():
     )
     matvec = _normal_operator(model, 0.0)
     v = img[None, :, :]
+    # one 10-alternation HQS solve of the deblur feasibility model (FFT x-solve)
+    conv_model = FeasibilityModel(
+        data_op=CircularConvolution(BlurKernel.gaussian(9, 1.5)),
+        observation=ImageTensor(img),
+        tv_weight=2e-3,
+        hqs_iters=10,
+    )
+    x0 = ImageTensor(img)
 
     cases = [
         ("prox p=1/2", lambda: K.prox_half(flat, 0.1)),
@@ -53,6 +61,7 @@ def main():
         ("wrap diff h fwd", lambda: wrap_diff(v, -2, forward=True)),
         ("wrap diff h bwd", lambda: wrap_diff(v, -2, forward=False)),
         ("cg normal matvec", lambda: matvec(v)),
+        ("hqs solve fft", lambda: solve_G(conv_model, x0)),
     ]
 
     print(f"kernel benchmark, size {n} ({n * n} elements), best of {args.repeats}\n")

@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError("input image path is required")
         if self.task == "inpaint" and not self.mask:
             raise ConfigError("inpaint task requires a mask")
+        if self.step < 0:
+            raise ConfigError(f"step must be >= 0 (0 means 0.99/L), got {self.step}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if not self.cg_tol > 0:

@@ -15,7 +15,8 @@ preconditioner: D = diag(K^T K) + 2*rho*(2[W>1] + 2[H>1]) + mu, the
 matrix's own diagonal.  CG stops once ||r|| <= cg_tol/2 * ||rhs||; a true
 relative residual above cg_tol after cg_max_iters iterations raises
 NumericalError.  The model holds what a solve cannot change; the anchor
-(x_tilde, mu), D and the CG buffers belong to each solve call.
+(x_tilde, mu), the HQS buffers and their difference views, D and the CG
+buffers belong to each solve call, so threads may share one model.
 """
 
 import math
@@ -80,12 +81,6 @@ def _fft_base(model):
     else:
         k2 = 1.0
     return k2 + 2.0 * rho * gh2 + 2.0 * rho * gv2
-
-
-def _fft_solve(model, rhs, mu):
-    # Every channel in one call, on numpy.fft looked up at call time; why not
-    # scipy.fft is noted at CircularConvolution._conv.
-    return np.fft.irfft2(np.fft.rfft2(rhs) / (model.fft_base + mu), s=rhs.shape[1:])
 
 
 def _cg_solve(matvec, rhs, x0, tol, max_iters, diag):
@@ -202,35 +197,62 @@ def hqs_energy(model: FeasibilityModel, x, zh, zv, anchor=None, mu=0.0) -> float
 
 
 def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu, energy_log=None, aux=None):
-    """The HQS alternation; ``anchor`` (an ImageTensor) enters only when mu > 0."""
+    """The HQS alternation; ``anchor`` (an ImageTensor) enters only when mu > 0.
+
+    The working arrays and their difference views are made once per call,
+    and each alternation writes into them with the same IEEE operations, in
+    the same order, as the allocating form: z = prox(G x) for both
+    directions at once, rhs = ((K^T b + 2 rho G_h^T z_h) + 2 rho G_v^T z_v)
+    + mu x_tilde, then the x-solve.
+    """
     b = model.observation.data
     if x_init.shape != b.shape:
         raise ConfigError("x_init shape differs from observation")
-    rho = model.hqs_rho
+    weight = 2.0 * model.hqs_rho
     anchor_arr = anchor.data if mu > 0.0 else None
-    spec = ProxSpec(model.tv_q, model.tv_weight / (2.0 * rho))
+    spec = ProxSpec(model.tv_q, model.tv_weight / weight)
 
+    z = np.empty((2,) + b.shape)  # G_h x and G_v x, then their prox z_h, z_v
+    bz = np.empty_like(z)  # G_h^T z_h and G_v^T z_v; before that, the prox's scratch
+    bh, bv = bz
+    rhs = np.empty(b.shape)
+    # x, the result, is made after the buffers: it outlives the call, so it
+    # keeps the freed buffers off the top of the heap, where glibc would trim
+    # them and the next call would fault them in again.
     x = x_init.data.copy()
     if energy_log is not None:
         energy_log.append(hqs_energy(model, x, wrap_diff(x, -1, True), wrap_diff(x, -2, True), anchor_arr, mu))
-
+    forward = diff_stencil(x, z[0], -1, True) + diff_stencil(x, z[1], -2, True)
+    backward = diff_stencil(z[0], bh, -1, False) + diff_stencil(z[1], bv, -2, False)
+    anchor_term = None if anchor_arr is None else mu * anchor_arr
     if model.fft_base is None:
         matvec, diag = _normal_operator(model, mu), _jacobi_diagonal(model, mu)
     else:
-        matvec = None
+        matvec, denominator = None, model.fft_base + mu
 
     for _ in range(model.hqs_iters):
-        zh = prox_lp_array(wrap_diff(x, -1, True), spec)
-        zv = prox_lp_array(wrap_diff(x, -2, True), spec)
-        rhs = model.ktb + 2.0 * rho * wrap_diff(zh, -1, False) + 2.0 * rho * wrap_diff(zv, -2, False)
-        if anchor_arr is not None:
-            rhs = rhs + mu * anchor_arr
+        for minuend, subtrahend, dst in forward:
+            np.subtract(minuend, subtrahend, out=dst)
+        prox_lp_array(z, spec, out=z, scratch=bz)
+        for minuend, subtrahend, dst in backward:
+            np.subtract(minuend, subtrahend, out=dst)
+        np.multiply(bz, weight, out=bz)
+        np.add(model.ktb, bh, out=rhs)
+        np.add(rhs, bv, out=rhs)
+        if anchor_term is not None:
+            np.add(rhs, anchor_term, out=rhs)
         if matvec is None:
-            x = _fft_solve(model, rhs, mu)
+            # Every channel in one call, on numpy.fft looked up at call time;
+            # why not scipy.fft is noted at CircularConvolution._conv. The
+            # result is copied, so the difference views of x stay valid.
+            spectrum = np.fft.rfft2(rhs)
+            np.divide(spectrum, denominator, out=spectrum)
+            np.copyto(x, np.fft.irfft2(spectrum, s=b.shape[1:]))
         else:
-            x = _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters, diag)
+            # copied, so the difference views of x stay valid
+            np.copyto(x, _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters, diag))
         if energy_log is not None:
-            energy_log.append(hqs_energy(model, x, zh, zv, anchor_arr, mu))
+            energy_log.append(hqs_energy(model, x, z[0], z[1], anchor_arr, mu))
     if aux is not None:
         aux["rhs"] = rhs
     return ImageTensor(x)

@@ -153,7 +153,7 @@ class DerainState:
     levels: int = DEFAULT_LEVELS
 
 
-def derain_objective(y: ImageTensor, state: DerainState) -> float:
+def derain_objective(y: ImageTensor, state: DerainState, syntheses=None) -> float:
     """Full two-layer model value guarded by derain's MDUS step.
 
     Couples the layers to the observation (0.5*||y - x_b - x_r||^2) and to
@@ -161,15 +161,19 @@ def derain_objective(y: ImageTensor, state: DerainState) -> float:
     observation term keeps the monotone guard sensitive to the layer
     decomposition; without it the code-projection point is always the
     blockwise optimum and the guard would reject every feasibility step.
+    ``syntheses``, when given, is the pair (W beta, W gamma) of the state's
+    own codes, which a caller that has them passes instead of resynthesizing.
     """
     w = state.weights
-    syn = WaveletInverse(state.levels)
     for layer in (state.x_b, state.x_r):
         if layer.data.min() < 0.0 or layer.data.max() > 1.0:
             return math.inf
+    if syntheses is None:
+        syn = WaveletInverse(state.levels)
+        syntheses = syn.apply(state.beta), syn.apply(state.gamma)
     ry = y.data - state.x_b.data - state.x_r.data
-    rb = state.x_b.data - syn.apply(state.beta).data
-    rr = state.x_r.data - syn.apply(state.gamma).data
+    rb = state.x_b.data - syntheses[0].data
+    rr = state.x_r.data - syntheses[1].data
     val = 0.5 * w.recon_weight * float(np.vdot(ry, ry).real)
     val += 0.5 * float(np.vdot(rb, rb).real) + 0.5 * float(np.vdot(rr, rr).real)
     val += w.nu1 * lp_penalty(state.beta.data, w.p1)
@@ -274,8 +278,10 @@ def derain_step(
     gamma = code_step(state.gamma, state.x_r, w.p2, w.nu2)
     codes = replace(state, beta=beta, gamma=gamma)
 
-    # (b) objective-side layer updates: project the synthesized codes
-    x_F = replace(codes, x_b=project_box01(syn.apply(beta)), x_r=project_box01(syn.apply(gamma)))
+    # (b) objective-side layer updates: project the synthesized codes. Every
+    # MDUS candidate carries these codes, so the objective reuses them.
+    syntheses = syn.apply(beta), syn.apply(gamma)
+    x_F = replace(codes, x_b=project_box01(syntheses[0]), x_r=project_box01(syntheses[1]))
 
     # (c)-(e) feasibility-side updates, anchored and anchor-free
     bg_model = _background_model(y, state.x_r, w)
@@ -297,7 +303,7 @@ def derain_step(
 
     out = latent_step(
         k, state, x_F, x_G, anchored, state.eta1, state.alpha, params,
-        lambda st: derain_objective(y, st), _layers_dist, _layers_aggregate, codes,
+        lambda st: derain_objective(y, st, syntheses), _layers_dist, _layers_aggregate, codes,
     )
     eta2 = state.eta2 if out.accepted_z else params.beta * state.eta2
     return replace(out.guard.x, eta1=out.mu, eta2=eta2, alpha=out.guard.alpha), out.record

@@ -130,6 +130,7 @@ class TestExitCodes:
             ("derain", ["--lambda2", "-1"]),
             ("inpaint", ["--nu1", "-1"]),
             ("inpaint", ["--p1", "0.3"]),
+            ("deblur", ["--step", "-1"]),
         ],
         ids=["cg-tol-nan", "rel-tol-nan", "noise-negative", "denoiser-strength",
              "levels-negative", "deblur-solver-list", "inpaint-solver-list",
@@ -137,7 +138,7 @@ class TestExitCodes:
              "derain-hqs-iters-negative", "derain-hqs-rho-zero",
              "external-denoiser-unbalanced-quote", "external-denoiser-blank",
              "derain-lambda1-negative", "derain-lambda2-negative", "inpaint-nu1-negative",
-             "inpaint-p1-unsupported"],
+             "inpaint-p1-unsupported", "deblur-step-negative"],
     )
     def test_bad_values_rejected(self, tmp_path, task, extra):
         _, mask, observed = inpaint_fixture(seed=5, size=16)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tlf._kernels
 import tlf.engine
 import tlf.feasibility
 import tlf.problem
@@ -21,7 +22,7 @@ from tlf.fixtures import (
 )
 from tlf.problem import CompositeProblem, SolverParams, eval_F, pg_step, solve_baseline
 from tlf.prox import ProxSpec
-from tlf.tasks import build_deblur, derain_solve
+from tlf.tasks import DerainWeights, build_deblur, derain_init, derain_solve, derain_step
 from tlf.tensor import BlurKernel, CircularConvolution, ImageTensor, estimate_lipschitz
 from tlf.trace import BUS_ACCEPTED, BUS_FALLBACK, MDUS_ACCEPTED
 
@@ -303,3 +304,26 @@ class TestCallTimeLookups:
             "feasibility.solve_G": 3,
             "feasibility.solve_G_mu": 3,
         }
+
+
+def test_derain_step_synthesizes_each_code_once(monkeypatch):
+    # code gradients: 2 analyses; x_F: 2 syntheses, which the three MDUS
+    # candidates reuse; the wavelet-shrink rain denoiser: 1 of each
+    y, _, _ = rain_fixture(seed=42, size=64)
+    params = derain_params()
+    state = derain_init(y, DerainWeights(), params)
+    counts = {}
+
+    def counting(name):
+        fn = getattr(tlf._kernels, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(tlf._kernels, name, wrapper)
+
+    counting("haar2_forward")
+    counting("haar2_inverse")
+    derain_step(y, state, derain_denoisers(), params, 0)
+    assert counts == {"haar2_forward": 3, "haar2_inverse": 3}

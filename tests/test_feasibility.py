@@ -6,9 +6,25 @@ import numpy as np
 import pytest
 
 from tlf.errors import ConfigError, NumericalError, ValidationError
-from tlf.feasibility import FeasibilityModel, _jacobi_diagonal, _normal_operator, hqs_energy, solve_G, solve_G_mu
-from tlf.fixtures import INPAINT_WEIGHTS, inpaint_fixture
-from tlf.tasks import build_inpaint
+from tlf.feasibility import (
+    FeasibilityModel,
+    _cg_solve,
+    _jacobi_diagonal,
+    _normal_operator,
+    hqs_energy,
+    solve_G,
+    solve_G_mu,
+)
+from tlf.fixtures import (
+    DEBLUR_WEIGHTS,
+    INPAINT_WEIGHTS,
+    deblur_fixture,
+    derain_params,
+    inpaint_fixture,
+    rain_fixture,
+)
+from tlf.prox import SUPPORTED_P, ProxSpec, prox_lp_array
+from tlf.tasks import DerainWeights, _background_model, build_deblur, build_inpaint, derain_init
 from tlf.tensor import (
     BlurKernel,
     CircularConvolution,
@@ -18,6 +34,7 @@ from tlf.tensor import (
     Identity,
     ImageTensor,
     Mask,
+    wrap_diff,
 )
 
 from conftest import random_image
@@ -256,11 +273,77 @@ class TestJacobiPreconditioner:
             assert np.linalg.norm(res) / np.linalg.norm(aux["rhs"]) <= model.cg_tol
 
 
+def reference_hqs(model, x_init, anchor, mu, energy_log=None, aux=None):
+    """The allocating HQS alternation: fresh arrays for every term, every pass."""
+    rho = model.hqs_rho
+    anchor_arr = anchor.data if mu > 0.0 else None
+    spec = ProxSpec(model.tv_q, model.tv_weight / (2.0 * rho))
+    x = x_init.data.copy()
+    if energy_log is not None:
+        energy_log.append(hqs_energy(model, x, wrap_diff(x, -1, True), wrap_diff(x, -2, True), anchor_arr, mu))
+    if model.fft_base is None:
+        matvec, diag = _normal_operator(model, mu), _jacobi_diagonal(model, mu)
+    else:
+        matvec = None
+    for _ in range(model.hqs_iters):
+        zh = prox_lp_array(wrap_diff(x, -1, True), spec)
+        zv = prox_lp_array(wrap_diff(x, -2, True), spec)
+        rhs = model.ktb + 2.0 * rho * wrap_diff(zh, -1, False) + 2.0 * rho * wrap_diff(zv, -2, False)
+        if anchor_arr is not None:
+            rhs = rhs + mu * anchor_arr
+        if matvec is None:
+            x = np.fft.irfft2(np.fft.rfft2(rhs) / (model.fft_base + mu), s=rhs.shape[1:])
+        else:
+            x = _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters, diag)
+        if energy_log is not None:
+            energy_log.append(hqs_energy(model, x, zh, zv, anchor_arr, mu))
+    if aux is not None:
+        aux["rhs"] = rhs
+    return x
+
+
+class TestBufferedAlternation:
+    """solve_G and solve_G_mu equal the allocating alternation byte for byte."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.7])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("q", SUPPORTED_P, ids=["q0", "q1/2", "q2/3", "q1"])
+    @pytest.mark.parametrize("data_op", ["conv", "identity", "mask"])
+    def test_equal_to_reference(self, rng, data_op, q, channels, mu):
+        h, w = 12, 16
+        make = {
+            "conv": lambda: CircularConvolution(BlurKernel.gaussian(5, 1.2)),
+            "identity": Identity,
+            "mask": lambda: Mask((rng.uniform(size=(h, w)) > 0.4).astype(float)),
+        }[data_op]
+        model = FeasibilityModel(
+            data_op=make(),
+            observation=random_image(rng, h, w, c=channels),
+            tv_weight=2e-2,
+            tv_q=q,
+            hqs_iters=4,
+        )
+        x0, anchor = random_image(rng, h, w, c=channels), random_image(rng, h, w, c=channels)
+        want_log, want_aux = [], {}
+        want = reference_hqs(model, x0, anchor, mu, want_log, want_aux)
+        calls = [lambda log, aux: solve_G_mu(model, x0, anchor, mu, log, aux)]
+        if mu == 0.0:
+            calls.append(lambda log, aux: solve_G(model, x0, log, aux))
+        for call in calls:
+            log, aux = [], {}
+            got = call(log, aux)
+            assert got.data.tobytes() == want.tobytes()
+            assert log == want_log
+            assert aux["rhs"].tobytes() == want_aux["rhs"].tobytes()
+
+
 class TestSharedModel:
-    def test_threads_share_one_cg_model(self):
-        gt, mask, observed = inpaint_fixture(seed=5, size=32)
-        _, model = build_inpaint(observed, mask, **INPAINT_WEIGHTS)
-        jobs = [lambda: solve_G(model, observed), lambda: solve_G_mu(model, observed, gt, 0.5)] * 2
+    """Threads that share one model get their single-threaded answers: every
+    HQS and CG buffer belongs to one solve call."""
+
+    @staticmethod
+    def assert_threads_agree(model, x0, anchor):
+        jobs = [lambda: solve_G(model, x0), lambda: solve_G_mu(model, x0, anchor, 0.5)] * 2
         want = [job().data for job in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -272,6 +355,24 @@ class TestSharedModel:
             sys.setswitchinterval(interval)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    def test_threads_share_one_cg_model(self):
+        gt, mask, observed = inpaint_fixture(seed=5, size=32)
+        _, model = build_inpaint(observed, mask, **INPAINT_WEIGHTS)
+        self.assert_threads_agree(model, observed, gt)
+
+    def test_threads_share_one_deblur_fft_model(self):
+        gt, kernel, blurry = deblur_fixture(seed=5, size=32)
+        _, model = build_deblur(blurry, kernel, **DEBLUR_WEIGHTS)
+        assert isinstance(model.data_op, CircularConvolution)
+        self.assert_threads_agree(model, blurry, gt)
+
+    def test_threads_share_one_derain_background_model(self):
+        y, x_b, _ = rain_fixture(seed=5, size=32)
+        state = derain_init(y, DerainWeights(), derain_params())
+        model = _background_model(y, state.x_r, state.weights)
+        assert isinstance(model.data_op, Identity)
+        self.assert_threads_agree(model, state.x_b, x_b)
 
 
 class TestSolveGMu:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tlf.errors import ConfigError
-from tlf.prox import ProxSpec, lp_penalty, project_box01, prox_lp, prox_lp_array
+from tlf.prox import SUPPORTED_P, ProxSpec, lp_penalty, project_box01, prox_lp, prox_lp_array
 from tlf.tensor import ImageTensor
 
 
@@ -92,6 +92,30 @@ class TestProperties:
             v = rng.uniform(-2, 2, size=256)
             out = prox_lp_array(v, ProxSpec(p, 0.2))
             assert np.all(np.abs(out) <= np.abs(v) + 1e-15)
+
+
+class TestOutArgument:
+    """out= (and scratch=) give the allocating call's bytes, signed zeros included."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    @pytest.mark.parametrize("p", SUPPORTED_P)
+    def test_equal_to_allocating_call(self, rng, p, tau):
+        edge = [-0.0, 0.0, tau, -tau, -0.0, 0.0, -tau, tau]
+        v = np.concatenate([edge, rng.uniform(-2, 2, size=56)]).reshape(2, 1, 4, 8)
+        spec = ProxSpec(p, tau)
+        want = prox_lp_array(v, spec).tobytes()
+        if p == 1.0 and tau > 0.0:
+            # sign(-0.0) * 0 is +0.0, where copysign(0, -0.0) would give -0.0
+            assert (np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)).tobytes() == want
+        buf = np.full(v.shape, np.nan)
+        assert prox_lp_array(v, spec, out=buf) is buf
+        assert buf.tobytes() == want
+        in_place = v.copy()  # out may be v itself, as in the HQS z-step
+        assert prox_lp_array(in_place, spec, out=in_place) is in_place
+        assert in_place.tobytes() == want
+        in_place = v.copy()
+        prox_lp_array(in_place, spec, out=in_place, scratch=np.full(v.shape, np.nan))
+        assert in_place.tobytes() == want
 
 
 class TestPenalty:
