@@ -15,19 +15,11 @@ import numpy as np
 from .config import DEFAULTS, TASKS, ExperimentConfig, format_defaults, read_config_file
 from .denoise import DenoiserSpec
 from .engine import dtlf_solve, tlf_solve
-from .errors import (
-    ConfigError,
-    DenoiserError,
-    FormatError,
-    NumericalError,
-    ShapeError,
-    TlfError,
-    ValidationError,
-)
+from .errors import ConfigError, DenoiserError, FormatError, NumericalError, TlfError
 from .formats import read_image, read_kernel, read_mask, write_image, write_tlft
 from .metrics import psnr, ssim
 from .noise import add_gaussian_noise
-from .problem import SolverParams, solve_baseline
+from .problem import BASELINE_METHODS, SolverParams, solve_baseline
 from .tasks import DerainWeights, build_deblur, build_inpaint, derain_init, derain_solve
 from .tensor import BlurKernel, CircularConvolution
 
@@ -63,22 +55,17 @@ def _solver_params(cfg: ExperimentConfig) -> SolverParams:
     )
 
 
-def _deblur_problem(cfg, blurry, kernel):
-    """Add the configured noise to ``blurry`` and build the deblur problem.
-
-    Returns the noisy observation with the problem and feasibility model.
-    """
-    if cfg.noise_percent > 0:
-        blurry = add_gaussian_noise(blurry, cfg.noise_percent, cfg.seed)
-    prob, feas = build_deblur(
-        blurry, kernel, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
-        levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
-    )
-    return blurry, prob, feas
-
-
-def _write_summary(path, entries):
-    with open(path, "w") as fh:
+def _write_run(out_dir, images, trace, entries):
+    """Write each named image as <name>.pgm|ppm and <name>.tlft, then
+    trace.csv when a trace is given, then summary.txt from the ordered
+    (key, value) entries."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, img in images.items():
+        write_image(out_dir / f"{name}.{'pgm' if img.channels == 1 else 'ppm'}", img)
+        write_tlft(out_dir / f"{name}.tlft", img)
+    if trace is not None:
+        trace.write_csv(out_dir / "trace.csv")
+    with open(out_dir / "summary.txt", "w") as fh:
         for key, value in entries:
             if isinstance(value, float):
                 fh.write(f"{key} = {value:.6f}\n")
@@ -86,61 +73,37 @@ def _write_summary(path, entries):
                 fh.write(f"{key} = {value}\n")
 
 
-def _run_composite(cfg, solver, prob, feas, gt, out_dir):
+def _summary(task, solver, trace, image, gt, extra=()):
+    """Summary entries of one solve: its trace, then ``extra``, then PSNR
+    and SSIM of ``image`` against ``gt`` when one is given."""
+    entries = [
+        ("task", task),
+        ("solver", solver),
+        ("iterations", len(trace)),
+        ("final_F", trace.final().F_value),
+        ("final_rel_err", trace.final().rel_err),
+        *extra,
+    ]
+    if gt is not None:
+        entries.append(("psnr", psnr(image, gt)))
+        entries.append(("ssim", ssim(image, gt)))
+    return entries
+
+
+def _solve_composite(cfg, solver, prob, feas, gt):
+    """Run one solver on a composite problem; returns the restored image and trace."""
     params = _solver_params(cfg)
-    if solver in ("pg", "apg", "mapg"):
+    if solver in BASELINE_METHODS:
         x, trace = solve_baseline(prob, solver, params, ground_truth=gt)
     elif solver == "tlf":
         x, trace = tlf_solve(prob, feas, params, ground_truth=gt)
     else:
         x, trace = dtlf_solve(prob, feas, cfg.denoiser_spec(), params, ground_truth=gt)
-    restored = prob.to_image(x)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_image(out_dir / ("restored.pgm" if restored.channels == 1 else "restored.ppm"), restored)
-    write_tlft(out_dir / "restored.tlft", restored)
-    trace.write_csv(out_dir / "trace.csv")
-    entries = [
-        ("task", cfg.task),
-        ("solver", solver),
-        ("iterations", len(trace)),
-        ("final_F", trace.final().F_value),
-        ("final_rel_err", trace.final().rel_err),
-    ]
-    if gt is not None:
-        entries.append(("psnr", psnr(restored, gt)))
-        entries.append(("ssim", ssim(restored, gt)))
-    _write_summary(out_dir / "summary.txt", entries)
-    return restored, trace
+    return prob.to_image(x), trace
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     out_root = Path(cfg.out)
-    if cfg.task == "deblur":
-        blurry = read_image(cfg.input)
-        kernel = read_kernel(cfg.kernel) if cfg.kernel else BlurKernel.delta()
-        gt = read_image(cfg.gt) if cfg.gt else None
-        _, prob, feas = _deblur_problem(cfg, blurry, kernel)
-        _run_composite(cfg, cfg.solver_list()[0], prob, feas, gt, out_root)
-        return EXIT_OK
-
-    if cfg.task == "inpaint":
-        observed = read_image(cfg.input)
-        mask = read_mask(cfg.mask)
-        gt = read_image(cfg.gt) if cfg.gt else None
-        prob, feas = build_inpaint(
-            observed, mask, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
-            levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
-            cg_tol=cfg.cg_tol,
-        )
-        restored, trace = _run_composite(cfg, cfg.solver_list()[0], prob, feas, gt, out_root)
-        if gt is not None:
-            missing = mask[None, :, :] == 0.0
-            if missing.any():
-                extra = [("masked_psnr", psnr(restored, gt, mask=np.broadcast_to(missing, restored.shape)))]
-                with open(out_root / "summary.txt", "a") as fh:
-                    fh.write(f"masked_psnr = {extra[0][1]:.6f}\n")
-        return EXIT_OK
-
     if cfg.task == "derain":
         rainy = read_image(cfg.input)
         gt = read_image(cfg.gt) if cfg.gt else None
@@ -153,51 +116,60 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         n_r = DenoiserSpec.parse(cfg.denoiser_rain)
         init = derain_init(rainy, weights, params, levels=cfg.levels)
         state, trace = derain_solve(rainy, init, (n_b, n_r), params, ground_truth=gt)
-        out_root.mkdir(parents=True, exist_ok=True)
-        suffix = "pgm" if state.x_b.channels == 1 else "ppm"
-        write_image(out_root / f"background.{suffix}", state.x_b)
-        write_image(out_root / f"rain.{suffix}", state.x_r)
-        write_tlft(out_root / "background.tlft", state.x_b)
-        write_tlft(out_root / "rain.tlft", state.x_r)
-        trace.write_csv(out_root / "trace.csv")
-        entries = [
-            ("task", "derain"),
-            ("solver", "dtlf"),
-            ("iterations", len(trace)),
-            ("final_F", trace.final().F_value),
-            ("final_rel_err", trace.final().rel_err),
-            ("layer_sum_residual", float(
-                np.linalg.norm(rainy.data - state.x_b.data - state.x_r.data)
-                / max(np.linalg.norm(rainy.data), 1e-30)
-            )),
-        ]
-        if gt is not None:
-            entries.append(("psnr", psnr(state.x_b, gt)))
-            entries.append(("ssim", ssim(state.x_b, gt)))
-        _write_summary(out_root / "summary.txt", entries)
+        residual = float(
+            np.linalg.norm(rainy.data - state.x_b.data - state.x_r.data)
+            / max(np.linalg.norm(rainy.data), 1e-30)
+        )
+        entries = _summary("derain", "dtlf", trace, state.x_b, gt, [("layer_sum_residual", residual)])
+        _write_run(out_root, {"background": state.x_b, "rain": state.x_r}, trace, entries)
         return EXIT_OK
 
-    # bench: degrade a clean input, run the requested solvers, compare PSNR
-    clean = read_image(cfg.input)
-    kernel = read_kernel(cfg.kernel) if cfg.kernel else BlurKernel.delta()
-    degraded, prob, feas = _deblur_problem(cfg, CircularConvolution(kernel).apply(clean), kernel)
+    # deblur, inpaint and bench: composite solves
+    observed = read_image(cfg.input)
+    if cfg.task == "inpaint":
+        mask = read_mask(cfg.mask)
+        gt = read_image(cfg.gt) if cfg.gt else None
+        prob, feas = build_inpaint(
+            observed, mask, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
+            levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
+            cg_tol=cfg.cg_tol,
+        )
+    else:
+        kernel = read_kernel(cfg.kernel) if cfg.kernel else BlurKernel.delta()
+        if cfg.task == "bench":  # blur the clean input, which is the ground truth
+            gt, observed = observed, CircularConvolution(kernel).apply(observed)
+        else:
+            gt = read_image(cfg.gt) if cfg.gt else None
+        if cfg.noise_percent > 0:
+            observed = add_gaussian_noise(observed, cfg.noise_percent, cfg.seed)
+        prob, feas = build_deblur(
+            observed, kernel, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
+            levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
+        )
+
+    def one(solver, out_dir):
+        restored, trace = _solve_composite(cfg, solver, prob, feas, gt)
+        entries = _summary(cfg.task, solver, trace, restored, gt)
+        if cfg.task == "inpaint" and gt is not None and (mask == 0.0).any():
+            entries.append(("masked_psnr", psnr(restored, gt, mask=mask == 0.0)))
+        _write_run(out_dir, {"restored": restored}, trace, entries)
+        return dict(entries)
+
+    if cfg.task != "bench":
+        one(cfg.solver_list()[0], out_root)
+        return EXIT_OK
+    # bench: every solver in its own directory, then one PSNR comparison
     solvers = cfg.solver_list()
-
-    def one(solver):
-        restored, trace = _run_composite(cfg, solver, prob, feas, clean, out_root / solver)
-        return solver, psnr(restored, clean), len(trace)
-
     if cfg.jobs > 1 and len(solvers) > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(one, solvers))
+            results = list(pool.map(lambda s: one(s, out_root / s), solvers))
     else:
-        results = [one(s) for s in solvers]
-    out_root.mkdir(parents=True, exist_ok=True)
-    entries = [("task", "bench"), ("input_psnr", psnr(degraded, clean))]
-    for solver, value, iters in results:
-        entries.append((f"psnr_{solver}", value))
-        entries.append((f"iters_{solver}", iters))
-    _write_summary(out_root / "summary.txt", entries)
+        results = [one(s, out_root / s) for s in solvers]
+    entries = [("task", "bench"), ("input_psnr", psnr(observed, gt))]
+    for run in results:
+        entries.append((f"psnr_{run['solver']}", run["psnr"]))
+        entries.append((f"iters_{run['solver']}", run["iterations"]))
+    _write_run(out_root, {}, None, entries)
     return EXIT_OK
 
 
@@ -232,16 +204,13 @@ def main(argv=None) -> int:
         layers.append(overrides)
         cfg = ExperimentConfig.from_mappings(*layers)
         return run_experiment(cfg)
-    except (ConfigError, ValidationError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (OSError, FormatError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NumericalError, DenoiserError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except TlfError as exc:  # any other package error counts as config misuse
+    except TlfError as exc:  # config, validation, shape and any other misuse
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

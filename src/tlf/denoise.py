@@ -73,11 +73,12 @@ class DenoiserSpec:
             return cls(kind=kind)
         try:
             values = [float(tok) for tok in rest.split(",") if tok.strip()]
-        except ValueError as exc:
+            strength = values[0]  # IndexError: no strength after the colon
+        except (ValueError, IndexError) as exc:
             raise ConfigError(f"bad denoiser strength in {text!r}") from exc
         if len(values) == 1:
-            return cls(kind=kind, strength=values[0])
-        return cls(kind=kind, strength=values[0], schedule=tuple(values))
+            return cls(kind=kind, strength=strength)
+        return cls(kind=kind, strength=strength, schedule=tuple(values))
 
 
 def _tv_rof(x: ImageTensor, weight: float) -> ImageTensor:

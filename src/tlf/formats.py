@@ -89,7 +89,9 @@ def write_image(path, img: ImageTensor):
 def _decode_tlft(raw) -> ImageTensor:
     if len(raw) < 16:
         raise FormatError("truncated TLFT header")
-    h, w, c = struct.unpack("<III", raw[4:16])
+    h, w, c = _positive_ints(struct.unpack("<III", raw[4:16]), "TLFT header")
+    if c not in (1, 3):
+        raise FormatError(f"bad TLFT header: {c} channels, expected 1 or 3")
     n = h * w * c
     body = raw[16 : 16 + 8 * n]
     if len(body) != 8 * n:

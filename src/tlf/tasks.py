@@ -37,6 +37,29 @@ from .tensor import (
 DEFAULT_LEVELS = 3
 
 
+def _composite(observation, data_op, lipschitz, lambda1, p, lambda2, q, levels, **hqs):
+    """The wavelet-code problem over data_op o W^T and its TV feasibility
+    model over data_op, both fitting ``observation``.  ``hqs`` holds the
+    FeasibilityModel solver keywords (hqs_rho, hqs_iters, cg_tol)."""
+    synthesis = WaveletInverse(levels)
+    synthesis._check(observation.data)  # dyadic size for the wavelet transform
+    prob = CompositeProblem(
+        data_op=Composition([synthesis, data_op]),
+        observation=observation,
+        reg_spec=ProxSpec(p, lambda1),
+        lipschitz=lipschitz,
+        synthesis=synthesis,
+    )
+    feas = FeasibilityModel(
+        data_op=data_op,
+        observation=observation,
+        tv_weight=lambda2,
+        tv_q=q,
+        **hqs,
+    )
+    return prob, feas
+
+
 def build_deblur(
     blurry: ImageTensor,
     kernel: BlurKernel,
@@ -54,27 +77,13 @@ def build_deblur(
     constant is ||K||_2^2, read off exactly from the kernel's frequency
     response (K is circulant).
     """
-    synthesis = WaveletInverse(levels)
-    synthesis._check(blurry.data)  # dyadic size for the wavelet transform
     conv = CircularConvolution(kernel)
     resp = conv.frequency_response(blurry.height, blurry.width)
     lipschitz = float(np.max(np.abs(resp) ** 2))
-    prob = CompositeProblem(
-        data_op=Composition([synthesis, conv]),
-        observation=blurry,
-        reg_spec=ProxSpec(p, lambda1),
-        lipschitz=lipschitz,
-        synthesis=synthesis,
+    return _composite(
+        blurry, conv, lipschitz, lambda1, p, lambda2, q, levels,
+        hqs_rho=hqs_rho, hqs_iters=hqs_iters,
     )
-    feas = FeasibilityModel(
-        data_op=conv,
-        observation=blurry,
-        tv_weight=lambda2,
-        tv_q=q,
-        hqs_rho=hqs_rho,
-        hqs_iters=hqs_iters,
-    )
-    return prob, feas
 
 
 def build_inpaint(
@@ -89,30 +98,15 @@ def build_inpaint(
     hqs_iters: int = 5,
     cg_tol: float = 1e-8,
 ):
-    """Masked-observation problem; the mask+TV system is solved by CG."""
-    synthesis = WaveletInverse(levels)
-    synthesis._check(observed.data)  # dyadic size for the wavelet transform
+    """Masked-observation problem; the mask+TV system is solved by CG.
+    With W orthonormal and a 0/1 mask the Lipschitz constant is 1."""
     mask_op = Mask(mask)  # validates binary entries
     if mask_op.mask.shape[1:] != (observed.height, observed.width):
         raise ValidationError("mask shape differs from observation")
-    b = mask_op.apply(observed)
-    prob = CompositeProblem(
-        data_op=Composition([synthesis, mask_op]),
-        observation=b,
-        reg_spec=ProxSpec(p, lambda1),
-        lipschitz=1.0,
-        synthesis=synthesis,
+    return _composite(
+        mask_op.apply(observed), mask_op, 1.0, lambda1, p, lambda2, q, levels,
+        hqs_rho=hqs_rho, hqs_iters=hqs_iters, cg_tol=cg_tol,
     )
-    feas = FeasibilityModel(
-        data_op=mask_op,
-        observation=b,
-        tv_weight=lambda2,
-        tv_q=q,
-        hqs_rho=hqs_rho,
-        hqs_iters=hqs_iters,
-        cg_tol=cg_tol,
-    )
-    return prob, feas
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,12 @@ class TestExitCodes:
     def test_malformed_pnm_header(self, tmp_path):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\nabc 4\n255\n" + bytes(16))
+        assert run_cli(["deblur", "--input", bad, "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("h,w,c", [(0, 4, 1), (4, 4, 2)], ids=["height-zero", "two-channels"])
+    def test_malformed_tlft_header(self, tmp_path, h, w, c):
+        bad = tmp_path / "bad.tlft"
+        bad.write_bytes(b"TLFT" + struct.pack("<III", h, w, c) + bytes(8 * h * w * c))
         assert run_cli(["deblur", "--input", bad, "--out", tmp_path / "o"]) == 2
 
     def test_inpaint_needs_mask(self, deblur_files):
@@ -349,6 +356,62 @@ class TestDerainRun:
         assert bg.data.min() >= 0.0 and bg.data.max() <= 1.0
         assert rain.data.min() >= 0.0 and rain.data.max() <= 1.0
         assert "layer_sum_residual" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+_COMPOSITE_KEYS = ["task", "solver", "iterations", "final_F", "final_rel_err"]
+_RESTORED = {"restored.pgm", "restored.tlft", "trace.csv", "summary.txt"}
+
+
+def _summary_keys(path):
+    return [line.split(" = ")[0] for line in path.read_text().splitlines()]
+
+
+class TestRunOutputs:
+    """The exact files each task writes and the ordered keys of its summary."""
+
+    @pytest.fixture
+    def small_files(self, tmp_path):
+        gt, kernel, blurry = deblur_fixture(seed=42, size=16)
+        write_tlft(tmp_path / "blurry.tlft", blurry)
+        write_tlft(tmp_path / "gt.tlft", gt)
+        write_kernel(tmp_path / "kernel.txt", kernel)
+        gt, mask, observed = inpaint_fixture(seed=5, size=16)
+        write_tlft(tmp_path / "masked.tlft", observed)
+        write_tlft(tmp_path / "inpaint_gt.tlft", gt)
+        write_mask(tmp_path / "mask.pgm", mask)
+        y, xb, _ = rain_fixture(seed=3, size=16)
+        write_tlft(tmp_path / "rainy.tlft", y)
+        write_tlft(tmp_path / "rain_gt.tlft", xb)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "args,files,keys",
+        [
+            (["deblur", "--input", "blurry.tlft", "--kernel", "kernel.txt", "--gt", "gt.tlft"],
+             _RESTORED, _COMPOSITE_KEYS + ["psnr", "ssim"]),
+            (["deblur", "--input", "blurry.tlft", "--kernel", "kernel.txt", "--solver", "dtlf"],
+             _RESTORED, _COMPOSITE_KEYS),
+            (["inpaint", "--input", "masked.tlft", "--mask", "mask.pgm", "--gt", "inpaint_gt.tlft"],
+             _RESTORED, _COMPOSITE_KEYS + ["psnr", "ssim", "masked_psnr"]),
+            (["derain", "--input", "rainy.tlft", "--gt", "rain_gt.tlft"],
+             {"background.pgm", "background.tlft", "rain.pgm", "rain.tlft", "trace.csv", "summary.txt"},
+             _COMPOSITE_KEYS + ["layer_sum_residual", "psnr", "ssim"]),
+            (["bench", "--input", "gt.tlft", "--kernel", "kernel.txt", "--solver", "pg,tlf"],
+             {"summary.txt"} | {f"{s}/{name}" for s in ("pg", "tlf") for name in _RESTORED},
+             ["task", "input_psnr", "psnr_pg", "iters_pg", "psnr_tlf", "iters_tlf"]),
+        ],
+        ids=["deblur-gt", "deblur-no-gt", "inpaint-gt", "derain-gt", "bench"],
+    )
+    def test_files_and_summary_keys(self, small_files, args, files, keys):
+        out = small_files / "out"
+        args = [small_files / a if a.endswith((".tlft", ".txt", ".pgm")) else a for a in args]
+        assert run_cli(args + ["--levels", "2", "--max-iters", "3", "--out", out]) == 0
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert written == files
+        assert _summary_keys(out / "summary.txt") == keys
+        for solver in ("pg", "tlf") if args[0] == "bench" else ():
+            got = _summary_keys(out / solver / "summary.txt")
+            assert got == _COMPOSITE_KEYS + ["psnr", "ssim"]
 
 
 class TestGoldenTrace:

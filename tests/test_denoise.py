@@ -35,7 +35,7 @@ class TestSpec:
         spec = DenoiserSpec.parse("tv-rof:0.05")
         assert spec.kind == "tv-rof" and spec.strength == 0.05
 
-    @pytest.mark.parametrize("text", ["tv-rof:abc", "tv-rof:nan", "gaussian:1.0,inf"])
+    @pytest.mark.parametrize("text", ["tv-rof:abc", "tv-rof:nan", "gaussian:1.0,inf", "tv-rof:,", "tv-rof: "])
     def test_parse_bad_strength(self, text):
         with pytest.raises(ConfigError):
             DenoiserSpec.parse(text)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ class TestFormats:
             path.write_bytes(raw)
             with pytest.raises(FormatError):
                 read_image(path)
+
+    @pytest.mark.parametrize("h,w,c", [(0, 4, 1), (4, 0, 1), (4, 4, 0), (4, 4, 2), (4, 4, 4)])
+    def test_bad_tlft_header(self, tmp_path, h, w, c):
+        # the payload matches the header, so only the header itself is wrong
+        path = tmp_path / "bad.tlft"
+        path.write_bytes(b"TLFT" + struct.pack("<III", h, w, c) + bytes(8 * h * w * c))
+        for read in (read_image, read_tlft):
+            with pytest.raises(FormatError):
+                read(path)
 
     def test_kernel_roundtrip(self, tmp_path, rng):
         k = BlurKernel.gaussian(5, 1.1)
