@@ -14,7 +14,7 @@ import numpy as np
 
 from tlf import _kernels as K
 from tlf.feasibility import FeasibilityModel, _normal_operator, solve_G
-from tlf.tensor import BlurKernel, CircularConvolution, ImageTensor, Mask, wrap_diff
+from tlf.tensor import BlurKernel, CircularConvolution, ImageTensor, Mask, irfft2, rfft2, wrap_diff
 
 
 def time_call(fn, repeats):
@@ -48,6 +48,7 @@ def main():
         hqs_iters=10,
     )
     x0 = ImageTensor(img)
+    spectrum = rfft2(v)
 
     cases = [
         ("prox p=1/2", lambda: K.prox_half(flat, 0.1)),
@@ -60,6 +61,11 @@ def main():
         ("wrap diff w bwd", lambda: wrap_diff(v, -1, forward=False)),
         ("wrap diff h fwd", lambda: wrap_diff(v, -2, forward=True)),
         ("wrap diff h bwd", lambda: wrap_diff(v, -2, forward=False)),
+        # the two-pass FFT pair every solver uses, against numpy's n-d calls
+        ("rfft2 numpy", lambda: np.fft.rfft2(v)),
+        ("rfft2 two-pass", lambda: rfft2(v)),
+        ("irfft2 numpy", lambda: np.fft.irfft2(spectrum, s=(n, n))),
+        ("irfft2 two-pass", lambda: irfft2(spectrum, n)),
         ("cg normal matvec", lambda: matvec(v)),
         ("hqs solve fft", lambda: solve_G(conv_model, x0)),
     ]

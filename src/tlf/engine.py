@@ -27,7 +27,7 @@ from . import feasibility as _feas
 from .denoise import DenoiserSpec, denoise
 from .errors import DenoiserError
 from .feasibility import FeasibilityModel
-from .problem import CompositeProblem, SolverParams, eval_F, iterate, pg_step
+from .problem import CompositeProblem, Point, SolverParams, eval_F, iterate, pg_step
 from .tensor import ImageTensor
 from .trace import BUS_ACCEPTED, BUS_FALLBACK, BUS_NA, MDUS_BRANCHES, TraceRecord
 
@@ -124,25 +124,37 @@ def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, ag
 def _latent_solve(method, prob, feas, denoiser, params, x0, ground_truth):
     """TLF (no denoiser) or DTLF: pg_step and the feasibility solves feed latent_step."""
     t = params.resolve_step(prob.lipschitz)
-    x = prob.default_init() if x0 is None else x0
     alpha, mu = params.alpha0, params.mu0
+
+    def objective(v):
+        return eval_F(prob, v)
+
+    def aggregate(alpha, latent, x_F):
+        return Point(prob, _aggregate(alpha, latent, x_F))
 
     def step(x, k):
         nonlocal alpha, mu
-        img_x = prob.to_image(x)
+        img_x = x.image
 
         def anchored():
             return prob.from_image(_feas.solve_G_mu(feas, img_x, denoise(denoiser, img_x, k), mu))
 
+        # MDUS evaluates both of its Points; the one it keeps carries its
+        # synthesis and residual into the next step, the loser is dropped.
         out = latent_step(
-            k, x, pg_step(prob, x, t), prob.from_image(_feas.solve_G(feas, img_x)),
+            k, x, Point(prob, pg_step(prob, x, t)), prob.from_image(_feas.solve_G(feas, img_x)),
             None if denoiser is None else anchored, mu, alpha, params,
-            lambda v: eval_F(prob, v), _dist, _aggregate,
+            objective, _dist, aggregate,
         )
         alpha, mu = out.guard.alpha, out.mu
         return out.guard.x, out.record
 
-    return iterate(method, x, step, params, eval_F(prob, x), prob.to_image, ground_truth)
+    # Only iterate holds the start Point, so its arrays go once step 0 is done.
+    last, trace = iterate(
+        method, Point(prob, prob.default_init() if x0 is None else x0), step, params,
+        objective, lambda p: p.image, ground_truth,
+    )
+    return last.x, trace
 
 
 def tlf_solve(

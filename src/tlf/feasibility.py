@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as _tensor
 from .errors import ConfigError, NumericalError, ValidationError
 from .prox import ProxSpec, lp_penalty, prox_lp_array
 from .tensor import CircularConvolution, Identity, ImageTensor, LinearOperator, diff_stencil, wrap_diff
@@ -242,12 +243,13 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu, energy_log=No
         if anchor_term is not None:
             np.add(rhs, anchor_term, out=rhs)
         if matvec is None:
-            # Every channel in one call, on numpy.fft looked up at call time;
-            # why not scipy.fft is noted at CircularConvolution._conv. The
-            # result is copied, so the difference views of x stay valid.
-            spectrum = np.fft.rfft2(rhs)
+            # Every channel in one call, through tlf.tensor's FFT pair looked
+            # up at call time; why not scipy.fft is noted at
+            # CircularConvolution._conv. The result is copied, so the
+            # difference views of x stay valid.
+            spectrum = _tensor.rfft2(rhs)
             np.divide(spectrum, denominator, out=spectrum)
-            np.copyto(x, np.fft.irfft2(spectrum, s=b.shape[1:]))
+            np.copyto(x, _tensor.irfft2(spectrum, b.shape[2]))
         else:
             # copied, so the difference views of x stay valid
             np.copyto(x, _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters, diag))

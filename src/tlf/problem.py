@@ -2,14 +2,14 @@
 its proximal-gradient map, and the PG / APG / mAPG baseline solvers.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .metrics import psnr
 from .prox import ProxSpec, lp_penalty, prox_lp_array
-from .tensor import ImageTensor, LinearOperator
+from .tensor import Composition, ImageTensor, LinearOperator
 from .trace import IterateTrace, TraceRecord
 
 BASELINE_METHODS = ("pg", "apg", "mapg")
@@ -29,10 +29,20 @@ class CompositeProblem:
     reg_spec: ProxSpec  # tau field carries the weight lambda1
     lipschitz: float
     synthesis: LinearOperator | None = None
+    # K in data_op = K o synthesis, so that A x = K(to_image(x)): data_op
+    # itself without a synthesis; the rest of a Composition that starts with
+    # the synthesis, which runs the same operations in the same order and so
+    # gives the same bytes; None for any other data_op.
+    image_op: LinearOperator | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lipschitz <= 0:
             raise ConfigError(f"lipschitz must be > 0, got {self.lipschitz}")
+        op = self.data_op
+        if self.synthesis is not None:
+            rest = op.ops[1:] if isinstance(op, Composition) and op.ops[0] is self.synthesis else ()
+            op = Composition(rest) if rest else None
+        object.__setattr__(self, "image_op", op)
 
     def to_image(self, x: ImageTensor) -> ImageTensor:
         return self.synthesis.apply(x) if self.synthesis is not None else x
@@ -44,8 +54,51 @@ class CompositeProblem:
         return self.from_image(self.observation)
 
     def gradient(self, x: ImageTensor) -> ImageTensor:
-        r = self.data_op.apply(x)
-        return self.data_op.adjoint(ImageTensor(r.data - self.observation.data))
+        return Point(self, x).gradient()
+
+
+class Point:
+    """A point x of one solve, with W^T x, A x - b and F(x) each computed at
+    most once.
+
+    Points are per-solve state: the frozen problem holds none of it, since
+    ``tlf bench --jobs`` threads share problems. ``gradient`` uses up the
+    residual, so a point keeps it only until its PG step; ``data`` lets a
+    point stand where an ImageTensor's array is read.
+    """
+
+    __slots__ = ("prob", "x", "_image", "_residual", "F")
+
+    def __init__(self, prob: CompositeProblem, x: ImageTensor):
+        self.prob, self.x = prob, x
+        self._image = self._residual = self.F = None
+
+    @property
+    def data(self):
+        return self.x.data
+
+    @property
+    def image(self) -> ImageTensor:
+        if self._image is None:
+            self._image = self.prob.to_image(self.x)
+        return self._image
+
+    def residual(self) -> np.ndarray:
+        """A x - b, kept until ``gradient`` uses it."""
+        if self._residual is None:
+            prob = self.prob
+            if prob.image_op is None:
+                ax = prob.data_op.apply(self.x)
+            else:
+                ax = prob.image_op.apply(self.image)
+            self._residual = ax.data - prob.observation.data
+        return self._residual
+
+    def gradient(self) -> ImageTensor:
+        """A^T (A x - b); the residual is dropped once used."""
+        res = self.residual()
+        self._residual = None
+        return self.prob.data_op.adjoint(ImageTensor(res))
 
 
 @dataclass(frozen=True)
@@ -86,19 +139,30 @@ class SolverParams:
         return t
 
 
-def eval_F(prob: CompositeProblem, x: ImageTensor) -> float:
-    res = prob.data_op.apply(x).data - prob.observation.data
-    value = 0.5 * float(np.vdot(res, res).real)
-    if prob.reg_spec.tau > 0:
-        value += prob.reg_spec.tau * lp_penalty(x.data, prob.reg_spec.p)
-    return value
+def _point(prob, x) -> Point:
+    return x if isinstance(x, Point) else Point(prob, x)
 
 
-def pg_step(prob: CompositeProblem, x: ImageTensor, t: float) -> ImageTensor:
-    """One proximal-gradient step prox_{t*psi}(x - t*grad f(x))."""
+def eval_F(prob: CompositeProblem, x) -> float:
+    """F at x, an ImageTensor or a Point; a Point keeps its F and residual."""
+    point = _point(prob, x)
+    if point.F is None:
+        res = point.residual()
+        value = 0.5 * float(np.vdot(res, res).real)
+        if prob.reg_spec.tau > 0:
+            value += prob.reg_spec.tau * lp_penalty(point.data, prob.reg_spec.p)
+        point.F = value
+    return point.F
+
+
+def pg_step(prob: CompositeProblem, x, t: float) -> ImageTensor:
+    """One proximal-gradient step prox_{t*psi}(x - t*grad f(x)).
+
+    ``x`` is an ImageTensor or a Point, whose residual the step uses up.
+    """
     if not 0.0 < t * prob.lipschitz < 1.0:
         raise ConfigError(f"step {t} outside (0, 1/L) for L={prob.lipschitz}")
-    g = prob.gradient(x)
+    g = _point(prob, x).gradient()
     return ImageTensor(
         prox_lp_array(x.data - t * g.data, prob.reg_spec.scaled(t))
     )
@@ -116,16 +180,16 @@ def _tensor_change(new: ImageTensor, old: ImageTensor) -> float:
     return relative_change(new.data, old.data)
 
 
-def iterate(method, x, step, params, initial_F, image, ground_truth=None, change=_tensor_change):
+def iterate(method, x, step, params, objective, image, ground_truth=None, change=_tensor_change):
     """The outer loop of every solver in the package.
 
-    ``step(x, k)`` returns the next iterate and its TraceRecord.  The driver
-    fills the record's ``rel_err`` from ``change(new, old)`` and, given a
-    ground truth, its ``psnr`` from ``image(new)``; it stops once rel_err
-    <= rel_tol or after max_iters steps.  Returns the last iterate and the
-    IterateTrace.
+    ``objective(x)`` is the trace's initial F.  ``step(x, k)`` returns the
+    next iterate and its TraceRecord.  The loop fills the record's
+    ``rel_err`` from ``change(new, old)`` and, given a ground truth, its
+    ``psnr`` from ``image(new)``; it stops once rel_err <= rel_tol or after
+    max_iters steps.  Returns the last iterate and the IterateTrace.
     """
-    trace = IterateTrace(method=method, initial_F=initial_F)
+    trace = IterateTrace(method=method, initial_F=objective(x))
     for k in range(params.max_iters):
         x_next, rec = step(x, k)
         rec.rel_err = change(x_next, x)
@@ -160,15 +224,15 @@ def solve_baseline(
     def step(x, k):
         nonlocal x_prev
         if method == "pg":
-            x_next = pg_step(prob, x, t)
+            x_next = Point(prob, pg_step(prob, x, t))
         else:
             w = (k - 1) / (k + 2) if k >= 1 else 0.0
             y = ImageTensor(x.data + w * (x.data - x_prev.data))
-            x_next = pg_step(prob, y, t)
+            x_next = Point(prob, pg_step(prob, y, t))
             if method == "mapg":  # momentum candidate kept only if it does not lose to plain PG
-                u = pg_step(prob, x, t)
+                u = Point(prob, pg_step(prob, x, t))
                 x_next = x_next if eval_F(prob, x_next) <= eval_F(prob, u) else u
-        x_prev = x
+        x_prev = x.x
         rec = TraceRecord(
             k=k,
             F_value=eval_F(prob, x_next),
@@ -176,4 +240,8 @@ def solve_baseline(
         )
         return x_next, rec
 
-    return iterate(method, x, step, params, eval_F(prob, x), prob.to_image, ground_truth)
+    # Only iterate holds the start Point, so its arrays go once step 0 is done.
+    last, trace = iterate(
+        method, Point(prob, x), step, params, lambda p: eval_F(prob, p), lambda p: p.image, ground_truth
+    )
+    return last.x, trace

@@ -333,7 +333,7 @@ def derain_solve(
         state,
         lambda st, k: derain_step(y, st, denoisers, params, k),
         params,
-        derain_objective(y, state),
+        lambda st: derain_objective(y, st),
         lambda st: st.x_b,
         ground_truth,
         _layers_change,

@@ -125,6 +125,21 @@ class BlurKernel:
         return cls(taps)
 
 
+def rfft2(a):
+    """``np.fft.rfft2(a)``, bit for bit, over the last two axes.
+
+    numpy's rfftn makes exactly these two 1-D calls; calling them directly
+    skips its per-call n-d argument handling.
+    """
+    return np.fft.fft(np.fft.rfft(a, axis=-1), axis=-2)
+
+
+def irfft2(spectrum, width):
+    """``np.fft.irfft2(spectrum, s=(height, width))``, bit for bit: the two
+    1-D calls numpy's irfftn makes, without its argument handling."""
+    return np.fft.irfft(np.fft.ifft(spectrum, axis=-2), n=width, axis=-1)
+
+
 class LinearOperator:
     """Forward/adjoint map on channel-planar images.
 
@@ -187,7 +202,7 @@ class CircularConvolution(LinearOperator):
             pad = np.zeros((height, width))
             pad[:kh, :kw] = self.kernel.taps
             pad = np.roll(pad, (-(kh // 2), -(kw // 2)), axis=(0, 1))
-            resp = np.fft.rfft2(pad)
+            resp = rfft2(pad)
             pair = (resp, np.conj(resp))
             self._freq_cache[key] = pair
         return pair
@@ -204,9 +219,10 @@ class CircularConvolution(LinearOperator):
         resp = self._responses(a.shape[1], a.shape[2])[conjugate]
         # One transform over the last two axes covers every channel. The FFTs
         # stay on numpy.fft: scipy.fft was faster at 256x256 but raised peak
-        # RSS by half and doubled import-inclusive set-up time. They are looked
-        # up at call time so that wrappers installed on numpy.fft see them.
-        return np.fft.irfft2(np.fft.rfft2(a) * resp, s=a.shape[1:])
+        # RSS by half and doubled import-inclusive set-up time. rfft2 and
+        # irfft2 are this module's globals, looked up at call time, so a
+        # wrapper set on tlf.tensor.rfft2 or irfft2 sees every FFT here.
+        return irfft2(rfft2(a) * resp, a.shape[2])
 
     def _apply(self, a):
         return self._conv(a, conjugate=False)

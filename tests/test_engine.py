@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from tlf.fixtures import (
 from tlf.problem import CompositeProblem, SolverParams, eval_F, pg_step, solve_baseline
 from tlf.prox import ProxSpec
 from tlf.tasks import DerainWeights, build_deblur, derain_init, derain_solve, derain_step
-from tlf.tensor import BlurKernel, CircularConvolution, ImageTensor, estimate_lipschitz
+from tlf.tensor import BlurKernel, CircularConvolution, Composition, ImageTensor, LinearOperator, estimate_lipschitz
 from tlf.trace import BUS_ACCEPTED, BUS_FALLBACK, MDUS_ACCEPTED
 
 from conftest import random_image
@@ -304,6 +306,62 @@ class TestCallTimeLookups:
             "feasibility.solve_G": 3,
             "feasibility.solve_G_mu": 3,
         }
+
+
+class Counting(LinearOperator):
+    """``op``, counting its applications and its adjoint's in ``counts``."""
+
+    def __init__(self, op, names, counts):
+        self.op, self.names, self.counts = op, names, counts
+
+    def _check(self, a):
+        return self.op._check(a)
+
+    def _apply(self, a):
+        self.counts[self.names[0]] += 1
+        return self.op._apply(a)
+
+    def _adjoint(self, a):
+        self.counts[self.names[1]] += 1
+        return self.op._adjoint(a)
+
+
+class TestOperatorApplications:
+    """Each point's synthesis W^T x and forward product K W^T x are computed
+    once per solve: the F evaluation of MDUS (or of the trace record) leaves
+    them for the next PG step, the next feasibility warm start and the PSNR."""
+
+    SETUP = {"W": 1, "W^T": 1, "K": 1}  # x_0 = W b, then F(x_0)
+    PER_ITERATION = {
+        "pg": {"W^T": 1, "K": 1, "K^T": 1, "W": 1},  # F(x_{k+1})
+        # PG at the extrapolated point y, then F(x_{k+1})
+        "apg": {"W^T": 2, "K": 2, "K^T": 1, "W": 1},
+        # PG at y and at x_k, then F of both candidates
+        "mapg": {"W^T": 3, "K": 3, "K^T": 2, "W": 2},
+        # PG at x_k, W x_G, then F at v and at x_F
+        "tlf": {"W^T": 2, "K": 2, "K^T": 1, "W": 2},
+        "dtlf": {"W^T": 2, "K": 2, "K^T": 1, "W": 3},  # and W x_Gmu
+    }
+
+    @pytest.mark.parametrize("iters", [1, 4])
+    @pytest.mark.parametrize("method", list(PER_ITERATION))
+    def test_counts(self, method, iters):
+        gt, kernel, blurry = deblur_fixture(size=32)
+        prob, feas = build_deblur(blurry, kernel, **DEBLUR_WEIGHTS)
+        counts = Counter()
+        synthesis = Counting(prob.synthesis, ("W^T", "W"), counts)
+        conv = Counting(prob.data_op.ops[1], ("K", "K^T"), counts)
+        prob = replace(prob, data_op=Composition([synthesis, conv]), synthesis=synthesis)
+        params = deblur_params(max_iters=iters, rel_tol=0.0)
+        if method == "tlf":
+            _, trace = tlf_solve(prob, feas, params, ground_truth=gt)
+        elif method == "dtlf":
+            _, trace = dtlf_solve(prob, feas, deblur_denoiser(), params, ground_truth=gt)
+        else:
+            _, trace = solve_baseline(prob, method, params, ground_truth=gt)
+        assert len(trace) == iters
+        per = self.PER_ITERATION[method]
+        assert dict(counts) == {key: self.SETUP.get(key, 0) + iters * n for key, n in per.items()}
 
 
 def test_derain_step_synthesizes_each_code_once(monkeypatch):

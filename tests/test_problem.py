@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tlf.errors import ConfigError
+from tlf.fixtures import DEBLUR_WEIGHTS, deblur_fixture
 from tlf.problem import (
     CompositeProblem,
     SolverParams,
@@ -10,9 +11,10 @@ from tlf.problem import (
     solve_baseline,
 )
 from tlf.prox import ProxSpec
+from tlf.tasks import build_deblur
 from tlf.tensor import BlurKernel, CircularConvolution, Identity, ImageTensor, estimate_lipschitz
 
-from conftest import random_image
+from conftest import random_image, reference_apg
 
 
 def make_deblur(rng, h=16, w=16, p=0.5, lam=1e-3, noise=0.01):
@@ -140,6 +142,19 @@ class TestBaselines:
         for _ in range(25):
             y = pg_step(prob, y, t)
         assert np.array_equal(x.data, y.data)
+
+    @pytest.mark.parametrize("method", ["apg", "mapg"])
+    def test_bit_equal_to_uncached_reference(self, method):
+        gt, kernel, blurry = deblur_fixture(size=32)
+        # nonconvex p = 1/2, where mAPG keeps the plain PG point in 4 of 40 steps
+        prob, _ = build_deblur(blurry, kernel, **dict(DEBLUR_WEIGHTS, lambda1=2e-3, p=0.5))
+        params = SolverParams(max_iters=40, rel_tol=0.0)
+        x, trace = solve_baseline(prob, method, params, ground_truth=gt)
+        want_x, want_F0, want_rows, kept_pg = reference_apg(prob, method == "mapg", params, gt)
+        assert kept_pg > 0 if method == "mapg" else kept_pg == 0
+        assert x.data.tobytes() == want_x.data.tobytes()
+        assert trace.initial_F == want_F0
+        assert [(r.F_value, r.norm_xF_x, r.rel_err, r.psnr) for r in trace] == want_rows
 
     def test_pg_displacement_partial_sums_plateau(self, rng):
         prob = make_deblur(rng, 16, 16, p=0.5, lam=2e-3)

@@ -14,6 +14,8 @@ from tlf.tensor import (
     WaveletForward,
     WaveletInverse,
     estimate_lipschitz,
+    irfft2,
+    rfft2,
     wrap_diff,
 )
 
@@ -229,3 +231,20 @@ class TestEstimateLipschitz:
 
     def test_zero_operator(self):
         assert estimate_lipschitz(Mask(np.zeros((8, 8))), (8, 8)) == 0.0
+
+
+class TestFftPair:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 7), (1, 5, 1), (3, 6, 9), (2, 7, 8), (1, 64, 64)])
+    def test_byte_equal_to_numpy(self, rng, shape):
+        a = rng.standard_normal(shape)
+        want = np.fft.rfft2(a)
+        got = rfft2(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the solvers invert products and quotients of spectra, which are
+        # not exactly Hermitian; so is this one
+        spectrum = want * (rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape))
+        want = np.fft.irfft2(spectrum, s=shape[1:])
+        got = irfft2(spectrum, shape[2])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
