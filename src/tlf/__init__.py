@@ -17,16 +17,12 @@ from .tasks import (
 from .tensor import (
     BlurKernel,
     CircularConvolution,
-    Composition,
-    GradientH,
-    GradientV,
     Identity,
     ImageTensor,
     LinearOperator,
     Mask,
     WaveletForward,
     WaveletInverse,
-    estimate_lipschitz,
 )
 from .trace import IterateTrace, TraceRecord
 

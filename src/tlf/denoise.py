@@ -190,7 +190,7 @@ def external_roundtrip(command: str, x: ImageTensor, hint: float = 0.0, timeout:
             stderr=subprocess.PIPE,
             timeout=timeout,
         )
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, not executable, a directory, ...
         raise DenoiserError(f"cannot launch denoiser: {exc}") from exc
     except subprocess.TimeoutExpired as exc:
         raise DenoiserError(f"denoiser timed out after {timeout}s") from exc

@@ -38,10 +38,6 @@ class MdusResult(NamedTuple):
     F_value: float
     chosen: int  # 0: v, i: the i-th fallback
 
-    @property
-    def accepted_v(self) -> bool:
-        return self.chosen == 0
-
 
 class BusResult(NamedTuple):
     accepted_z: bool

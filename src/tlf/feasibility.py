@@ -26,8 +26,8 @@ import numpy as np
 
 from . import tensor as _tensor
 from .errors import ConfigError, NumericalError, ValidationError
-from .prox import ProxSpec, lp_penalty, prox_lp_array
-from .tensor import CircularConvolution, Identity, ImageTensor, LinearOperator, diff_stencil, wrap_diff
+from .prox import ProxSpec, prox_lp_array
+from .tensor import CircularConvolution, Identity, ImageTensor, LinearOperator, diff_stencil
 
 
 def _is_circulant(op: LinearOperator) -> bool:
@@ -179,25 +179,7 @@ def _normal_operator(model, mu):
     return matvec
 
 
-def hqs_energy(model: FeasibilityModel, x, zh, zv, anchor=None, mu=0.0) -> float:
-    """Splitting objective tracked across alternations (test hook).
-
-    ``anchor`` is the x_tilde array of an anchored solve; mu = 0 drops it.
-    """
-    rho = model.hqs_rho
-    res = model.data_op._apply(x) - model.observation.data
-    e = 0.5 * float(np.vdot(res, res).real)
-    dh = zh - wrap_diff(x, -1, True)
-    dv = zv - wrap_diff(x, -2, True)
-    e += rho * float(np.vdot(dh, dh).real) + rho * float(np.vdot(dv, dv).real)
-    e += model.tv_weight * (lp_penalty(zh, model.tv_q) + lp_penalty(zv, model.tv_q))
-    if mu > 0.0:
-        d = x - anchor
-        e += 0.5 * mu * float(np.vdot(d, d).real)
-    return e
-
-
-def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu, energy_log=None, aux=None):
+def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
     """The HQS alternation; ``anchor`` (an ImageTensor) enters only when mu > 0.
 
     The working arrays and their difference views are made once per call,
@@ -210,7 +192,6 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu, energy_log=No
     if x_init.shape != b.shape:
         raise ConfigError("x_init shape differs from observation")
     weight = 2.0 * model.hqs_rho
-    anchor_arr = anchor.data if mu > 0.0 else None
     spec = ProxSpec(model.tv_q, model.tv_weight / weight)
 
     z = np.empty((2,) + b.shape)  # G_h x and G_v x, then their prox z_h, z_v
@@ -221,11 +202,9 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu, energy_log=No
     # keeps the freed buffers off the top of the heap, where glibc would trim
     # them and the next call would fault them in again.
     x = x_init.data.copy()
-    if energy_log is not None:
-        energy_log.append(hqs_energy(model, x, wrap_diff(x, -1, True), wrap_diff(x, -2, True), anchor_arr, mu))
     forward = diff_stencil(x, z[0], -1, True) + diff_stencil(x, z[1], -2, True)
     backward = diff_stencil(z[0], bh, -1, False) + diff_stencil(z[1], bv, -2, False)
-    anchor_term = None if anchor_arr is None else mu * anchor_arr
+    anchor_term = mu * anchor.data if mu > 0.0 else None
     if model.fft_base is None:
         matvec, diag = _normal_operator(model, mu), _jacobi_diagonal(model, mu)
     else:
@@ -253,21 +232,15 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu, energy_log=No
         else:
             # copied, so the difference views of x stay valid
             np.copyto(x, _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters, diag))
-        if energy_log is not None:
-            energy_log.append(hqs_energy(model, x, z[0], z[1], anchor_arr, mu))
-    if aux is not None:
-        aux["rhs"] = rhs
     return ImageTensor(x)
 
 
-def solve_G(model: FeasibilityModel, x_init: ImageTensor, energy_log=None, aux=None) -> ImageTensor:
+def solve_G(model: FeasibilityModel, x_init: ImageTensor) -> ImageTensor:
     """Approximately minimize the TV feasibility model from a warm start."""
-    return _hqs(model, x_init, None, 0.0, energy_log, aux)
+    return _hqs(model, x_init, None, 0.0)
 
 
-def solve_G_mu(
-    model: FeasibilityModel, x_init: ImageTensor, x_tilde: ImageTensor, mu: float, energy_log=None, aux=None
-) -> ImageTensor:
+def solve_G_mu(model: FeasibilityModel, x_init: ImageTensor, x_tilde: ImageTensor, mu: float) -> ImageTensor:
     """Anchored variant: the same alternation with the +mu*I proximal term.
 
     mu = 0 is allowed (a decayed BUS weight reaches it) and gives exactly
@@ -277,4 +250,4 @@ def solve_G_mu(
         raise ValidationError(f"anchor shape {x_tilde.shape} differs from observation {model.observation.shape}")
     if not mu >= 0.0:
         raise ValidationError(f"solve_G_mu requires mu >= 0, got {mu!r}")
-    return _hqs(model, x_init, x_tilde, mu, energy_log, aux)
+    return _hqs(model, x_init, x_tilde, mu)

@@ -93,8 +93,8 @@ def _decode_tlft(raw) -> ImageTensor:
     if c not in (1, 3):
         raise FormatError(f"bad TLFT header: {c} channels, expected 1 or 3")
     n = h * w * c
-    body = raw[16 : 16 + 8 * n]
-    if len(body) != 8 * n:
+    body = raw[16:]
+    if len(body) != 8 * n:  # short or overlong
         raise FormatError(f"TLFT payload {len(body)} bytes, expected {8 * n}")
     return ImageTensor(np.frombuffer(body, dtype="<f8").reshape(c, h, w))
 

@@ -2,14 +2,14 @@
 its proximal-gradient map, and the PG / APG / mAPG baseline solvers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .metrics import psnr
 from .prox import ProxSpec, lp_penalty, prox_lp_array
-from .tensor import Composition, ImageTensor, LinearOperator
+from .tensor import ImageTensor, LinearOperator
 from .trace import IterateTrace, TraceRecord
 
 BASELINE_METHODS = ("pg", "apg", "mapg")
@@ -19,30 +19,21 @@ BASELINE_METHODS = ("pg", "apg", "mapg")
 class CompositeProblem:
     """Smooth data-fit plus prox-able lp regularizer.
 
-    ``data_op`` maps the optimization variable to observation space; for
-    wavelet-coefficient problems it is K o W^T and ``synthesis`` (W^T) maps
-    the variable back to an image.
+    The data operator is A = K o W^T: ``synthesis`` (W^T, None for the
+    identity) maps the optimization variable to an image and ``image_op``
+    (K) maps that image to observation space, so A x = K(W^T x) and
+    A^T r = W(K^T r).
     """
 
-    data_op: LinearOperator
+    image_op: LinearOperator
     observation: ImageTensor
     reg_spec: ProxSpec  # tau field carries the weight lambda1
     lipschitz: float
     synthesis: LinearOperator | None = None
-    # K in data_op = K o synthesis, so that A x = K(to_image(x)): data_op
-    # itself without a synthesis; the rest of a Composition that starts with
-    # the synthesis, which runs the same operations in the same order and so
-    # gives the same bytes; None for any other data_op.
-    image_op: LinearOperator | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lipschitz <= 0:
             raise ConfigError(f"lipschitz must be > 0, got {self.lipschitz}")
-        op = self.data_op
-        if self.synthesis is not None:
-            rest = op.ops[1:] if isinstance(op, Composition) and op.ops[0] is self.synthesis else ()
-            op = Composition(rest) if rest else None
-        object.__setattr__(self, "image_op", op)
 
     def to_image(self, x: ImageTensor) -> ImageTensor:
         return self.synthesis.apply(x) if self.synthesis is not None else x
@@ -52,9 +43,6 @@ class CompositeProblem:
 
     def default_init(self) -> ImageTensor:
         return self.from_image(self.observation)
-
-    def gradient(self, x: ImageTensor) -> ImageTensor:
-        return Point(self, x).gradient()
 
 
 class Point:
@@ -86,19 +74,15 @@ class Point:
     def residual(self) -> np.ndarray:
         """A x - b, kept until ``gradient`` uses it."""
         if self._residual is None:
-            prob = self.prob
-            if prob.image_op is None:
-                ax = prob.data_op.apply(self.x)
-            else:
-                ax = prob.image_op.apply(self.image)
-            self._residual = ax.data - prob.observation.data
+            ax = self.prob.image_op.apply(self.image)
+            self._residual = ax.data - self.prob.observation.data
         return self._residual
 
     def gradient(self) -> ImageTensor:
         """A^T (A x - b); the residual is dropped once used."""
         res = self.residual()
         self._residual = None
-        return self.prob.data_op.adjoint(ImageTensor(res))
+        return self.prob.from_image(self.prob.image_op.adjoint(ImageTensor(res)))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .problem import CompositeProblem, SolverParams, iterate
 from .tensor import (
     BlurKernel,
     CircularConvolution,
-    Composition,
     Identity,
     ImageTensor,
     Mask,
@@ -37,21 +36,21 @@ from .tensor import (
 DEFAULT_LEVELS = 3
 
 
-def _composite(observation, data_op, lipschitz, lambda1, p, lambda2, q, levels, **hqs):
-    """The wavelet-code problem over data_op o W^T and its TV feasibility
-    model over data_op, both fitting ``observation``.  ``hqs`` holds the
+def _composite(observation, image_op, lipschitz, lambda1, p, lambda2, q, levels, **hqs):
+    """The wavelet-code problem over image_op o W^T and its TV feasibility
+    model over image_op, both fitting ``observation``.  ``hqs`` holds the
     FeasibilityModel solver keywords (hqs_rho, hqs_iters, cg_tol)."""
     synthesis = WaveletInverse(levels)
     synthesis._check(observation.data)  # dyadic size for the wavelet transform
     prob = CompositeProblem(
-        data_op=Composition([synthesis, data_op]),
+        image_op=image_op,
         observation=observation,
         reg_spec=ProxSpec(p, lambda1),
         lipschitz=lipschitz,
         synthesis=synthesis,
     )
     feas = FeasibilityModel(
-        data_op=data_op,
+        data_op=image_op,
         observation=observation,
         tv_weight=lambda2,
         tv_q=q,

@@ -2,9 +2,9 @@
 
 Images are stored channel-planar: ``data`` has shape (channels, height,
 width), float64, C-order, so tobytes() gives the row-major planar layout the
-file formats and the denoiser wire protocol use.  Convolutions and gradients
-use circular (periodic) boundaries throughout, which keeps every operator
-here circulant per channel and FFT-diagonalizable.
+file formats and the denoiser wire protocol use.  Convolutions and the
+wrap-around differences of ``diff_stencil`` use circular (periodic)
+boundaries, which keeps them circulant per channel and FFT-diagonalizable.
 """
 
 from dataclasses import dataclass
@@ -55,17 +55,6 @@ class ImageTensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @classmethod
-    def zeros(cls, height, width, channels=1):
-        return cls(np.zeros((channels, height, width)))
-
-    @classmethod
-    def full(cls, height, width, value, channels=1):
-        return cls(np.full((channels, height, width), float(value)))
-
-    def __array__(self, dtype=None):
-        return self.data if dtype is None else self.data.astype(dtype)
 
     def norm(self):
         return float(np.linalg.norm(self.data))
@@ -264,12 +253,14 @@ class Mask(LinearOperator):
 
 
 def diff_stencil(a, out, axis, forward):
-    """The two (minuend, subtrahend, destination) view triples of wrap_diff.
+    """The two (minuend, subtrahend, destination) view triples of a
+    wrap-around difference along ``axis`` (-1: width, -2: height).
 
-    Subtracting each triple in order writes ``wrap_diff(a, axis, forward)``
-    into ``out``. Both arrays must be C-contiguous, of one shape, and not the
-    same array. A caller that differences the same arrays many times makes
-    the views once.
+    Subtracting each triple in order writes ``np.roll(a, -1 if forward
+    else 1, axis) - a`` into ``out``: every element is the same single
+    subtraction the roll form makes, so the two agree bit for bit. Both
+    arrays must be C-contiguous, of one shape, and not the same array. A
+    caller that differences the same arrays many times makes the views once.
     """
     # forward: out[i] = a[i+1] - a[i]; backward: out[i] = a[i-1] - a[i]
     if forward:
@@ -289,42 +280,6 @@ def diff_stencil(a, out, axis, forward):
         (flat_a[src], flat_a[dst], flat_out[dst]),
         (a[..., wrap], a[..., edge], out[..., edge]),
     )
-
-
-def wrap_diff(a, axis, forward, out=None):
-    """``np.roll(a, -1 if forward else 1, axis) - a`` without the rolled copy.
-
-    ``axis`` is -1 (width) or -2 (height). Every element is the same single
-    subtraction the roll form makes, so the two agree bit for bit. ``out``,
-    when given, must be a C-contiguous array of a's shape that is not ``a``.
-    """
-    a = np.ascontiguousarray(a)
-    if out is None:
-        out = np.empty_like(a)
-    (a1, b1, o1), (a2, b2, o2) = diff_stencil(a, out, axis, forward)
-    np.subtract(a1, b1, out=o1)
-    np.subtract(a2, b2, out=o2)
-    return out
-
-
-class GradientH(LinearOperator):
-    """Forward difference along width with wrap-around."""
-
-    def _apply(self, a):
-        return wrap_diff(a, -1, forward=True)
-
-    def _adjoint(self, a):
-        return wrap_diff(a, -1, forward=False)
-
-
-class GradientV(LinearOperator):
-    """Forward difference along height with wrap-around."""
-
-    def _apply(self, a):
-        return wrap_diff(a, -2, forward=True)
-
-    def _adjoint(self, a):
-        return wrap_diff(a, -2, forward=False)
 
 
 class WaveletForward(LinearOperator):
@@ -365,47 +320,3 @@ class WaveletInverse(LinearOperator):
 
     def _adjoint(self, a):
         return self._fwd._apply(a)
-
-
-class Composition(LinearOperator):
-    """Apply operators left to right; adjoint runs them reversed."""
-
-    def __init__(self, ops):
-        if not ops:
-            raise ConfigError("composition needs at least one operator")
-        self.ops = tuple(ops)
-
-    def _apply(self, a):
-        for op in self.ops:
-            a = op._apply(op._check(a))
-        return a
-
-    def _adjoint(self, a):
-        for op in reversed(self.ops):
-            a = op._adjoint(op._check(a))
-        return a
-
-
-def estimate_lipschitz(op: LinearOperator, shape, iters=50) -> float:
-    """Power-iteration estimate of ||A^T A||_2 on images of the given shape.
-
-    Deterministic start vector so the step sizes derived from it are
-    reproducible.  Nondecreasing in ``iters`` (Rayleigh quotients of a PSD
-    map under power iteration).
-    """
-    if iters < 1:
-        raise ConfigError("iters must be >= 1")
-    if len(shape) == 2:
-        shape = (1,) + tuple(shape)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(shape)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = op._adjoint(op._apply(v))
-        n = float(np.linalg.norm(w))
-        if n == 0.0:
-            return 0.0
-        est = n
-        v = w / n
-    return est

@@ -93,6 +93,14 @@ class TestExitCodes:
         bad.write_bytes(b"TLFT" + struct.pack("<III", h, w, c) + bytes(8 * h * w * c))
         assert run_cli(["deblur", "--input", bad, "--out", tmp_path / "o"]) == 2
 
+    def test_nan_tlft_input(self, tmp_path, capsys):
+        data = np.full((1, 16, 16), 0.5)
+        data[0, 3, 4] = np.nan
+        bad = tmp_path / "nan.tlft"
+        bad.write_bytes(b"TLFT" + struct.pack("<III", 16, 16, 1) + data.astype("<f8").tobytes())
+        assert run_cli(["deblur", "--input", bad, "--out", tmp_path / "o"]) == 1
+        assert "image contains NaN or Inf" in capsys.readouterr().err
+
     def test_inpaint_needs_mask(self, deblur_files):
         code = run_cli(
             ["inpaint", "--input", deblur_files / "blurry.tlft", "--out", deblur_files / "o"]
@@ -184,6 +192,25 @@ class TestExitCodes:
             ]
         )
         assert code == 0
+
+    def test_external_denoiser_that_cannot_start_falls_back(self, deblur_files, not_executable):
+        # every anchored step is a BUS fallback, as for a missing command
+        code = run_cli(
+            [
+                "deblur",
+                "--input", deblur_files / "blurry.tlft",
+                "--kernel", deblur_files / "kernel.txt",
+                "--solver", "dtlf",
+                "--external-denoiser", not_executable,
+                "--max-iters", "3",
+                "--out", deblur_files / "o",
+            ]
+        )
+        assert code == 0
+        rows = (deblur_files / "o" / "trace.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        fields = [dict(zip(header, row.split(","))) for row in rows[1:]]
+        assert [(f["bus_branch"], f["norm_xGmu_x"]) for f in fields] == [("fell-back-xG", "nan")] * 3
 
     def test_derain_levels_passed_on(self, tmp_path):
         # 20 is divisible by 4 but not by 8: runs only if every step uses 2

@@ -4,16 +4,16 @@ import pytest
 from tlf.denoise import DenoiserSpec, denoise, external_roundtrip
 from tlf.errors import ConfigError, DenoiserError, ShapeError
 from tlf.prox import ProxSpec, prox_lp
-from tlf.tensor import GradientH, GradientV, ImageTensor, WaveletForward, WaveletInverse
+from tlf.tensor import ImageTensor, WaveletForward, WaveletInverse
 
-from conftest import random_image, write_double
+from conftest import random_image, roll_diff, write_double
 
 ALL_KINDS = ["tv-rof", "recursive-filter", "gaussian", "median", "wavelet-shrink"]
 
 
 def tv_energy(img):
-    gh = GradientH().apply(img).data
-    gv = GradientV().apply(img).data
+    gh = roll_diff(img.data, -1, True)
+    gv = roll_diff(img.data, -2, True)
     return np.abs(gh).sum() + np.abs(gv).sum()
 
 
@@ -68,12 +68,12 @@ class TestDesignedDenoisers:
         ("gaussian", 1.5), ("recursive-filter", 2.0), ("median", 1.0), ("tv-rof", 0.1),
     ])
     def test_constant_preserved(self, kind, strength):
-        x = ImageTensor.full(16, 16, 0.6)
+        x = ImageTensor(np.full((1, 16, 16), 0.6))
         out = denoise(DenoiserSpec(kind=kind, strength=strength), x, 0)
         assert np.abs(out.data - 0.6).max() <= 1e-10
 
     def test_tv_rof_reduces_tv_energy(self, rng):
-        clean = ImageTensor.full(16, 16, 0.5)
+        clean = ImageTensor(np.full((1, 16, 16), 0.5))
         noisy = ImageTensor(clean.data + 0.1 * rng.standard_normal((1, 16, 16)))
         out = denoise(DenoiserSpec(kind="tv-rof", strength=0.05), noisy, 0)
         assert tv_energy(out) <= tv_energy(noisy)
@@ -131,9 +131,15 @@ class TestExternalProtocol:
         with pytest.raises(DenoiserError):
             external_roundtrip(failing_denoiser, random_image(rng, 8, 8))
 
-    def test_missing_executable_raises(self, rng):
-        with pytest.raises(DenoiserError):
-            external_roundtrip("/nonexistent/denoiser-bin", random_image(rng, 8, 8))
+    def test_missing_executable_raises(self, rng, tmp_path, not_executable):
+        # missing, or there but not startable: no execute permission, a directory
+        for command in ("/nonexistent/denoiser-bin", not_executable, str(tmp_path)):
+            with pytest.raises(DenoiserError, match="cannot launch denoiser"):
+                external_roundtrip(command, random_image(rng, 8, 8))
+
+    def test_nan_reply_raises(self, rng, nan_denoiser):
+        with pytest.raises(DenoiserError, match="NaN or Inf"):
+            external_roundtrip(nan_denoiser, random_image(rng, 8, 8))
 
     def test_timeout_raises(self, rng, tmp_path):
         cmd = write_double(tmp_path, "sleepy", "import time; time.sleep(30)")

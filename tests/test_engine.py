@@ -25,10 +25,10 @@ from tlf.fixtures import (
 from tlf.problem import CompositeProblem, SolverParams, eval_F, pg_step, solve_baseline
 from tlf.prox import ProxSpec
 from tlf.tasks import DerainWeights, build_deblur, derain_init, derain_solve, derain_step
-from tlf.tensor import BlurKernel, CircularConvolution, Composition, ImageTensor, LinearOperator, estimate_lipschitz
+from tlf.tensor import BlurKernel, CircularConvolution, ImageTensor, LinearOperator
 from tlf.trace import BUS_ACCEPTED, BUS_FALLBACK, MDUS_ACCEPTED
 
-from conftest import random_image
+from conftest import estimate_lipschitz, random_image
 
 
 def image_space_setup(rng, h=32, w=32, lam1=5e-4, lam2=2e-3, p=1.0):
@@ -36,7 +36,7 @@ def image_space_setup(rng, h=32, w=32, lam1=5e-4, lam2=2e-3, p=1.0):
     op = CircularConvolution(BlurKernel.gaussian(5, 1.2))
     gt = random_image(rng, h, w)
     b = ImageTensor(op.apply(gt).data + 0.01 * rng.standard_normal((1, h, w)))
-    lip = estimate_lipschitz(op, (h, w), iters=100)
+    lip = estimate_lipschitz(op, shape=(h, w), iters=100)
     prob = CompositeProblem(op, b, ProxSpec(p, lam1), lip)
     feas = FeasibilityModel(
         data_op=op, observation=b, tv_weight=lam2, hqs_iters=5
@@ -50,7 +50,7 @@ class TestMdus:
         x_f = random_image(rng, 4, 4)
         table = {id(v): 3.0, id(x_f): 5.0}
         res = mdus(lambda z: table[id(z)], v, x_f, alpha=0.9, gamma=0.5)
-        assert res.x is v and res.accepted_v
+        assert res.x is v and res.chosen == 0
         assert res.alpha == 0.45
         assert res.F_value == 3.0
 
@@ -59,14 +59,14 @@ class TestMdus:
         x_f = random_image(rng, 4, 4)
         table = {id(v): 7.0, id(x_f): 5.0}
         res = mdus(lambda z: table[id(z)], v, x_f, alpha=0.9, gamma=0.5)
-        assert res.x is x_f and not res.accepted_v
+        assert res.x is x_f and res.chosen == 1
         assert res.alpha == 0.45  # decay runs unconditionally
 
     def test_tie_accepts_v(self, rng):
         v = random_image(rng, 4, 4)
         x_f = random_image(rng, 4, 4)
         res = mdus(lambda z: 1.0, v, x_f, alpha=0.5, gamma=0.9)
-        assert res.x is v and res.accepted_v
+        assert res.x is v and res.chosen == 0
 
     def test_composite_problem_evaluation(self, rng):
         prob, _, _ = image_space_setup(rng, 16, 16)
@@ -211,19 +211,20 @@ class TestDtlfSolve:
         assert all(rec.bus_branch == BUS_FALLBACK for rec in trace)
         assert trace.final().mu == 0.0
 
-    def test_denoiser_failure_becomes_bus_fallback(self, rng, failing_denoiser):
+    def test_denoiser_failure_becomes_bus_fallback(self, rng, failing_denoiser, nan_denoiser):
         prob, feas, _ = image_space_setup(rng, 16, 16)
         params = SolverParams(max_iters=5, rel_tol=0.0)
-        spec = DenoiserSpec(kind="external", command=failing_denoiser, strength=1.0)
-        x, trace = dtlf_solve(prob, feas, spec, params)
-        assert len(trace) == 5
-        for rec in trace:
-            assert rec.bus_branch == BUS_FALLBACK
-            assert math.isnan(rec.norm_xGmu_x)
-        # mu halves every iteration
-        mus = [r.mu for r in trace]
-        for a, b in zip(mus, mus[1:]):
-            assert b == params.beta * a
+        for command in (failing_denoiser, nan_denoiser):  # a crash, a NaN reply
+            spec = DenoiserSpec(kind="external", command=command, strength=1.0)
+            x, trace = dtlf_solve(prob, feas, spec, params)
+            assert len(trace) == 5
+            for rec in trace:
+                assert rec.bus_branch == BUS_FALLBACK
+                assert math.isnan(rec.norm_xGmu_x)
+            # mu halves every iteration
+            mus = [r.mu for r in trace]
+            for a, b in zip(mus, mus[1:]):
+                assert b == params.beta * a
 
     def test_failed_denoiser_matches_tlf_trajectory(self, rng, failing_denoiser):
         prob, feas, _ = image_space_setup(rng, 16, 16)
@@ -350,8 +351,8 @@ class TestOperatorApplications:
         prob, feas = build_deblur(blurry, kernel, **DEBLUR_WEIGHTS)
         counts = Counter()
         synthesis = Counting(prob.synthesis, ("W^T", "W"), counts)
-        conv = Counting(prob.data_op.ops[1], ("K", "K^T"), counts)
-        prob = replace(prob, data_op=Composition([synthesis, conv]), synthesis=synthesis)
+        conv = Counting(prob.image_op, ("K", "K^T"), counts)
+        prob = replace(prob, image_op=conv, synthesis=synthesis)
         params = deblur_params(max_iters=iters, rel_tol=0.0)
         if method == "tlf":
             _, trace = tlf_solve(prob, feas, params, ground_truth=gt)

@@ -8,10 +8,8 @@ import pytest
 from tlf.errors import ConfigError, NumericalError, ValidationError
 from tlf.feasibility import (
     FeasibilityModel,
-    _cg_solve,
     _jacobi_diagonal,
     _normal_operator,
-    hqs_energy,
     solve_G,
     solve_G_mu,
 )
@@ -23,34 +21,25 @@ from tlf.fixtures import (
     inpaint_fixture,
     rain_fixture,
 )
-from tlf.prox import SUPPORTED_P, ProxSpec, prox_lp_array
+from tlf.prox import SUPPORTED_P
 from tlf.tasks import DerainWeights, _background_model, build_deblur, build_inpaint, derain_init
-from tlf.tensor import (
-    BlurKernel,
-    CircularConvolution,
-    Composition,
-    GradientH,
-    GradientV,
-    Identity,
-    ImageTensor,
-    Mask,
-    wrap_diff,
-)
+from tlf.tensor import BlurKernel, CircularConvolution, Identity, ImageTensor, LinearOperator, Mask
 
-from conftest import random_image
-
-_GH = GradientH()
-_GV = GradientV()
+from conftest import checked_hqs, hqs_energy, normal_apply, random_image, reference_hqs, roll_diff
 
 
-def normal_apply(model, x, mu=0.0):
-    """Oracle application of the x-subproblem normal operator."""
-    k = model.data_op
-    rho = model.hqs_rho
-    out = k._adjoint(k._apply(x))
-    out = out + 2.0 * rho * _GH._adjoint(_GH._apply(x))
-    out = out + 2.0 * rho * _GV._adjoint(_GV._apply(x))
-    return out + mu * x
+class Opaque(LinearOperator):
+    """An operator behind a wrapper that states neither its circulant form
+    nor its Gram diagonal."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def _apply(self, a):
+        return self.op._apply(a)
+
+    def _adjoint(self, a):
+        return self.op._adjoint(a)
 
 
 def blur_model(rng, h=16, w=16, **kw):
@@ -63,7 +52,7 @@ def blur_model(rng, h=16, w=16, **kw):
 
 def as_cg(model, **kw):
     """The same circulant system behind a non-circulant operator, so CG solves it."""
-    return replace(model, data_op=Composition([model.data_op]), **kw)
+    return replace(model, data_op=Opaque(model.data_op), **kw)
 
 
 class TestModelValidation:
@@ -106,11 +95,11 @@ class TestSolveG:
         model = FeasibilityModel(
             data_op=Identity(), observation=b, tv_weight=0.0, hqs_iters=60
         )
-        out = solve_G(model, ImageTensor.zeros(8, 8))
+        out = solve_G(model, ImageTensor(np.zeros((1, 8, 8))))
         assert np.abs(out.data - b.data).max() <= 1e-6
 
     def test_constant_observation_stays_constant(self):
-        b = ImageTensor.full(8, 8, 0.42)
+        b = ImageTensor(np.full((1, 8, 8), 0.42))
         model = FeasibilityModel(data_op=Identity(), observation=b, tv_weight=0.01)
         out = solve_G(model, b)
         assert np.abs(out.data - 0.42).max() <= 1e-10
@@ -120,10 +109,8 @@ class TestSolveG:
         model = blur_model(rng)
         if solver == "cg":
             model = as_cg(model)
-        aux = {}
-        x = solve_G(model, model.observation, aux=aux)
-        rhs = aux["rhs"]
-        res = normal_apply(model, x.data) - rhs
+        x, _, rhs = checked_hqs(model, model.observation)
+        res = normal_apply(model, x) - rhs
         rel = np.linalg.norm(res) / np.linalg.norm(rhs)
         assert rel <= (1e-8 if solver == "fft" else model.cg_tol)
 
@@ -136,10 +123,9 @@ class TestSolveG:
             hqs_iters=3,
             cg_tol=1e-8,
         )
-        aux = {}
-        x = solve_G(model, model.observation, aux=aux)
-        res = normal_apply(model, x.data) - aux["rhs"]
-        assert np.linalg.norm(res) / np.linalg.norm(aux["rhs"]) <= model.cg_tol
+        x, _, rhs = checked_hqs(model, model.observation)
+        res = normal_apply(model, x) - rhs
+        assert np.linalg.norm(res) / np.linalg.norm(rhs) <= model.cg_tol
 
     def test_fft_and_cg_agree_on_circulant(self, rng):
         m_fft = blur_model(rng)
@@ -151,8 +137,7 @@ class TestSolveG:
 
     def test_energy_nonincreasing_per_alternation(self, rng):
         model = blur_model(rng, hqs_iters=8, tv_weight=2e-2)
-        log = []
-        solve_G(model, model.observation, energy_log=log)
+        _, log, _ = checked_hqs(model, model.observation)
         for a, b in zip(log, log[1:]):
             assert b <= a + 1e-10
 
@@ -174,7 +159,7 @@ class TestSolveG:
             cg_max_iters=2,
         )
         with pytest.raises(NumericalError) as err:
-            solve_G(model, ImageTensor.zeros(16, 16))
+            solve_G(model, ImageTensor(np.zeros((1, 16, 16))))
         assert err.value.residual is not None and err.value.residual > 1e-12
 
 
@@ -260,50 +245,21 @@ class TestJacobiPreconditioner:
 
     def test_unknown_gram_diagonal_counts_as_one(self, rng):
         model = as_cg(blur_model(rng, hqs_rho=0.08))
-        assert Composition([Identity()]).gram_diagonal() is None
+        assert Opaque(Identity()).gram_diagonal() is None
         assert _jacobi_diagonal(model, 0.5) == pytest.approx(1.0 + 4 * 0.16 + 0.5, rel=1e-15)
 
     @pytest.mark.parametrize("h,w", [(1, 8), (8, 1)])
     def test_one_pixel_wide_mask_solves_to_tol(self, rng, h, w):
         model = mask_model(rng, h, w, channels=3, hqs_iters=3)
         for mu in (0.0, 0.7):
-            aux = {}
-            x = solve_G_mu(model, model.observation, random_image(rng, h, w, c=3), mu, aux=aux)
-            res = normal_apply(model, x.data, mu) - aux["rhs"]
-            assert np.linalg.norm(res) / np.linalg.norm(aux["rhs"]) <= model.cg_tol
-
-
-def reference_hqs(model, x_init, anchor, mu, energy_log=None, aux=None):
-    """The allocating HQS alternation: fresh arrays for every term, every pass."""
-    rho = model.hqs_rho
-    anchor_arr = anchor.data if mu > 0.0 else None
-    spec = ProxSpec(model.tv_q, model.tv_weight / (2.0 * rho))
-    x = x_init.data.copy()
-    if energy_log is not None:
-        energy_log.append(hqs_energy(model, x, wrap_diff(x, -1, True), wrap_diff(x, -2, True), anchor_arr, mu))
-    if model.fft_base is None:
-        matvec, diag = _normal_operator(model, mu), _jacobi_diagonal(model, mu)
-    else:
-        matvec = None
-    for _ in range(model.hqs_iters):
-        zh = prox_lp_array(wrap_diff(x, -1, True), spec)
-        zv = prox_lp_array(wrap_diff(x, -2, True), spec)
-        rhs = model.ktb + 2.0 * rho * wrap_diff(zh, -1, False) + 2.0 * rho * wrap_diff(zv, -2, False)
-        if anchor_arr is not None:
-            rhs = rhs + mu * anchor_arr
-        if matvec is None:
-            x = np.fft.irfft2(np.fft.rfft2(rhs) / (model.fft_base + mu), s=rhs.shape[1:])
-        else:
-            x = _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters, diag)
-        if energy_log is not None:
-            energy_log.append(hqs_energy(model, x, zh, zv, anchor_arr, mu))
-    if aux is not None:
-        aux["rhs"] = rhs
-    return x
+            x, _, rhs = checked_hqs(model, model.observation, random_image(rng, h, w, c=3), mu)
+            res = normal_apply(model, x, mu) - rhs
+            assert np.linalg.norm(res) / np.linalg.norm(rhs) <= model.cg_tol
 
 
 class TestBufferedAlternation:
-    """solve_G and solve_G_mu equal the allocating alternation byte for byte."""
+    """solve_G and solve_G_mu equal the allocating alternation byte for byte,
+    after each of the first four alternations."""
 
     @pytest.mark.parametrize("mu", [0.0, 0.7])
     @pytest.mark.parametrize("channels", [1, 3])
@@ -316,25 +272,19 @@ class TestBufferedAlternation:
             "identity": Identity,
             "mask": lambda: Mask((rng.uniform(size=(h, w)) > 0.4).astype(float)),
         }[data_op]
-        model = FeasibilityModel(
+        base = FeasibilityModel(
             data_op=make(),
             observation=random_image(rng, h, w, c=channels),
             tv_weight=2e-2,
             tv_q=q,
-            hqs_iters=4,
         )
         x0, anchor = random_image(rng, h, w, c=channels), random_image(rng, h, w, c=channels)
-        want_log, want_aux = [], {}
-        want = reference_hqs(model, x0, anchor, mu, want_log, want_aux)
-        calls = [lambda log, aux: solve_G_mu(model, x0, anchor, mu, log, aux)]
-        if mu == 0.0:
-            calls.append(lambda log, aux: solve_G(model, x0, log, aux))
-        for call in calls:
-            log, aux = [], {}
-            got = call(log, aux)
-            assert got.data.tobytes() == want.tobytes()
-            assert log == want_log
-            assert aux["rhs"].tobytes() == want_aux["rhs"].tobytes()
+        for iters in range(1, 5):
+            model = replace(base, hqs_iters=iters)
+            want = reference_hqs(model, x0, anchor, mu)[0].tobytes()
+            assert solve_G_mu(model, x0, anchor, mu).data.tobytes() == want
+            if mu == 0.0:
+                assert solve_G(model, x0).data.tobytes() == want
 
 
 class TestSharedModel:
@@ -385,15 +335,13 @@ class TestSolveGMu:
 
     def test_residual_includes_mu_term(self, rng):
         model = blur_model(rng)
-        aux = {}
-        x = solve_G_mu(model, model.observation, random_image(rng), 0.7, aux=aux)
-        res = normal_apply(model, x.data, mu=0.7) - aux["rhs"]
-        assert np.linalg.norm(res) / np.linalg.norm(aux["rhs"]) <= 1e-8
+        x, _, rhs = checked_hqs(model, model.observation, random_image(rng), 0.7)
+        res = normal_apply(model, x, mu=0.7) - rhs
+        assert np.linalg.norm(res) / np.linalg.norm(rhs) <= 1e-8
 
     def test_energy_nonincreasing_with_anchor(self, rng):
         model = blur_model(rng, hqs_iters=6)
-        log = []
-        solve_G_mu(model, model.observation, random_image(rng), 0.3, energy_log=log)
+        _, log, _ = checked_hqs(model, model.observation, random_image(rng), 0.3)
         for a, b in zip(log, log[1:]):
             assert b <= a + 1e-10
 
@@ -440,13 +388,12 @@ class TestPrecomputedSpectra:
         models = [conv_model(b, s) for s in sigmas]
         for _ in range(2):
             for model, w in zip(models, want):
-                aux = {}
-                x = solve_G(model, x0, aux=aux)
-                assert np.array_equal(x.data, w)
+                x, _, rhs = checked_hqs(model, x0)
+                assert np.array_equal(x, w)
                 # the references were built at the same shape too, so also
                 # check each solve against its own kernel's normal equation
-                res = normal_apply(model, x.data) - aux["rhs"]
-                assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(aux["rhs"])
+                res = normal_apply(model, x) - rhs
+                assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(rhs)
 
 
 class TestEnergy:
@@ -459,7 +406,7 @@ class TestEnergy:
         k = model.data_op
         rho = model.hqs_rho
         want = 0.5 * np.sum((k._apply(x) - model.observation.data) ** 2)
-        want += rho * np.sum((zh - _GH._apply(x)) ** 2)
-        want += rho * np.sum((zv - _GV._apply(x)) ** 2)
+        want += rho * np.sum((zh - roll_diff(x, -1, True)) ** 2)
+        want += rho * np.sum((zv - roll_diff(x, -2, True)) ** 2)
         want += model.tv_weight * (np.abs(zh).sum() + np.abs(zv).sum())
         assert got == pytest.approx(want, rel=1e-12)

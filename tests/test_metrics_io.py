@@ -70,8 +70,8 @@ class TestPsnr:
         assert psnr(x, x) == 100.0
 
     def test_constant_offset(self):
-        a = ImageTensor.full(8, 8, 0.5)
-        b = ImageTensor.full(8, 8, 0.6)
+        a = ImageTensor(np.full((1, 8, 8), 0.5))
+        b = ImageTensor(np.full((1, 8, 8), 0.6))
         assert psnr(a, b) == pytest.approx(20.0, abs=1e-12)
 
     def test_matches_naive(self, rng):
@@ -152,12 +152,16 @@ class TestFormats:
         assert read_image(path).data.tobytes() == img.data.tobytes()
 
     def test_truncated_tlft(self, tmp_path, rng):
+        # a payload shorter or longer than the header's 8*h*w*c bytes
         img = random_image(rng, 6, 5)
         path = tmp_path / "img.tlft"
         write_tlft(path, img)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(FormatError):
-            read_tlft(path)
+        raw = path.read_bytes()
+        for bad in (raw[:-4], raw + bytes(8)):
+            path.write_bytes(bad)
+            for read in (read_tlft, read_image):
+                with pytest.raises(FormatError, match="TLFT payload"):
+                    read(path)
 
     def test_unknown_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -234,7 +238,7 @@ class TestNoise:
         assert np.allclose(got, want, atol=1e-12)
 
     def test_add_noise_percent(self, rng):
-        x = ImageTensor.full(32, 32, 0.5)
+        x = ImageTensor(np.full((1, 32, 32), 0.5))
         noisy = add_gaussian_noise(x, 2.0, seed=3)
         sigma = (noisy.data - 0.5).std()
         assert abs(sigma - 0.02) < 0.005

@@ -5,21 +5,16 @@ from tlf.errors import ShapeError, ValidationError
 from tlf.tensor import (
     BlurKernel,
     CircularConvolution,
-    Composition,
-    GradientH,
-    GradientV,
     Identity,
     ImageTensor,
     Mask,
     WaveletForward,
     WaveletInverse,
-    estimate_lipschitz,
     irfft2,
     rfft2,
-    wrap_diff,
 )
 
-from conftest import naive_circ_conv, random_image
+from conftest import StencilDiff, estimate_lipschitz, naive_circ_conv, random_image, stencil_diff
 
 
 class TestImageTensor:
@@ -64,7 +59,7 @@ class TestApply:
         assert np.array_equal(m.apply(x).data, x.data)
 
     def test_averaging_kernel_on_constant(self):
-        x = ImageTensor.full(8, 8, 0.37)
+        x = ImageTensor(np.full((1, 8, 8), 0.37))
         op = CircularConvolution(BlurKernel(np.ones((3, 3))))
         out = op.apply(x)
         assert np.allclose(out.data, 0.37, atol=1e-12)
@@ -72,7 +67,7 @@ class TestApply:
     def test_kernel_larger_than_image(self):
         op = CircularConvolution(BlurKernel.gaussian(9, 1.0))
         with pytest.raises(ShapeError):
-            op.apply(ImageTensor.zeros(4, 4))
+            op.apply(ImageTensor(np.zeros((1, 4, 4))))
 
     def test_mask_shape_mismatch(self, rng):
         m = Mask(np.ones((8, 8)))
@@ -98,32 +93,30 @@ class TestApply:
 
 
 class TestGradientKernels:
-    """The wrap-around differences equal the np.roll form bit for bit."""
+    """diff_stencil's view triples write the np.roll differences bit for bit."""
 
     @staticmethod
     def arrays(rng):
         yield rng.standard_normal((1, 9, 9))
         yield rng.standard_normal((3, 9, 9))
         yield rng.standard_normal((3, 5, 12))  # non-square
-        yield rng.standard_normal((3, 12, 10))[:, ::2, 1::3]  # non-contiguous view
-        yield rng.standard_normal((2, 1, 7))  # H = 1
+        yield rng.standard_normal((3, 1, 7))  # H = 1
         yield rng.standard_normal((1, 7, 1))  # W = 1
 
     def test_equal_to_roll_differences(self, rng):
         for a in self.arrays(rng):
             before = a.copy()
-            assert np.array_equal(GradientH()._apply(a), np.roll(a, -1, axis=2) - a)
-            assert np.array_equal(GradientH()._adjoint(a), np.roll(a, 1, axis=2) - a)
-            assert np.array_equal(GradientV()._apply(a), np.roll(a, -1, axis=1) - a)
-            assert np.array_equal(GradientV()._adjoint(a), np.roll(a, 1, axis=1) - a)
+            for axis in (-1, -2):
+                for forward in (True, False):
+                    got = stencil_diff(a, np.empty_like(a), axis, forward)
+                    assert np.array_equal(got, np.roll(a, -1 if forward else 1, axis=axis) - a)
             assert np.array_equal(a, before)
 
     def test_out_buffer_fully_written(self, rng):
         for a in self.arrays(rng):
             for axis, shift in ((-1, -1), (-1, 1), (-2, -1), (-2, 1)):
                 out = np.full(a.shape, np.nan)
-                got = wrap_diff(a, axis, forward=shift == -1, out=out)
-                assert got is out
+                stencil_diff(a, out, axis, forward=shift == -1)
                 assert np.array_equal(out, np.roll(a, shift, axis=axis) - a)
 
 
@@ -136,20 +129,12 @@ class TestAdjoint:
                 BlurKernel(rng.standard_normal((5, 5)), normalize=False)
             ),
             lambda rng: Mask((rng.uniform(size=(16, 16)) > 0.4).astype(float)),
-            lambda rng: GradientH(),
-            lambda rng: GradientV(),
+            lambda rng: StencilDiff(-1),
+            lambda rng: StencilDiff(-2),
             lambda rng: WaveletForward(2),
             lambda rng: WaveletInverse(2),
-            lambda rng: Composition(
-                [
-                    WaveletInverse(2),
-                    CircularConvolution(
-                        BlurKernel(rng.standard_normal((3, 3)), normalize=False)
-                    ),
-                ]
-            ),
         ],
-        ids=["identity", "conv", "mask", "grad-h", "grad-v", "dwt", "idwt", "composition"],
+        ids=["identity", "conv", "mask", "grad-h", "grad-v", "dwt", "idwt"],
     )
     def test_inner_product_identity(self, rng, make_op):
         op = make_op(rng)
@@ -181,7 +166,7 @@ class TestWavelet:
     def test_constant_image(self):
         levels = 3
         c = 0.3
-        out = WaveletForward(levels).apply(ImageTensor.full(16, 16, c)).data[0]
+        out = WaveletForward(levels).apply(ImageTensor(np.full((1, 16, 16), c))).data[0]
         blk = 16 >> levels
         approx = out[:blk, :blk]
         details = out.copy()
@@ -201,21 +186,23 @@ class TestWavelet:
 
     def test_divisibility_error(self):
         with pytest.raises(ShapeError):
-            WaveletForward(3).apply(ImageTensor.zeros(12, 12))
+            WaveletForward(3).apply(ImageTensor(np.zeros((1, 12, 12))))
 
 
 class TestEstimateLipschitz:
+    """The power-iteration oracle in conftest, which gives other tests their step sizes."""
+
     def test_identity(self):
-        assert abs(estimate_lipschitz(Identity(), (8, 8)) - 1.0) <= 1e-12
+        assert abs(estimate_lipschitz(Identity(), shape=(8, 8)) - 1.0) <= 1e-12
 
     def test_scaled_identity(self):
         op = CircularConvolution(BlurKernel(np.array([[2.0]]), normalize=False))
-        assert abs(estimate_lipschitz(op, (8, 8)) - 4.0) <= 1e-9
+        assert abs(estimate_lipschitz(op, shape=(8, 8)) - 4.0) <= 1e-9
 
     def test_gaussian_matches_frequency_oracle(self):
         k = BlurKernel.gaussian(9, 1.5)
         op = CircularConvolution(k)
-        est = estimate_lipschitz(op, (32, 32), iters=200)
+        est = estimate_lipschitz(op, shape=(32, 32), iters=200)
         pad = np.zeros((32, 32))
         pad[:9, :9] = k.taps
         pad = np.roll(pad, (-4, -4), axis=(0, 1))
@@ -225,12 +212,12 @@ class TestEstimateLipschitz:
 
     def test_monotone_in_iters(self):
         op = CircularConvolution(BlurKernel.gaussian(5, 1.0))
-        history = [estimate_lipschitz(op, (16, 16), iters=k) for k in range(1, 12)]
+        history = [estimate_lipschitz(op, shape=(16, 16), iters=k) for k in range(1, 12)]
         for a, b in zip(history, history[1:]):
             assert b >= a - 1e-13
 
     def test_zero_operator(self):
-        assert estimate_lipschitz(Mask(np.zeros((8, 8))), (8, 8)) == 0.0
+        assert estimate_lipschitz(Mask(np.zeros((8, 8))), shape=(8, 8)) == 0.0
 
 
 class TestFftPair:
