@@ -8,7 +8,11 @@ lines. Each workload's digest covers, per solve of one benchmark job
 (``bench_e2e/workloads.py``: ``build`` then ``run_job``), the final image
 bytes, the F trace, the iteration count and the MDUS/BUS branch tags.
 ``derain-64-states`` also covers every intermediate derain state: both
-layers, both codes, eta1, eta2, alpha and the step's trace record.
+layers, both codes, the anchor weight mu twice, alpha and the step's trace
+record. mu is hashed twice because derain once kept two anchor weights,
+eta1 and eta2, that were equal at every step: ``[mu, mu, alpha]`` are the
+bytes ``[eta1, eta2, alpha]`` were, so the line stays comparable across
+that change.
 
 ``--summary`` also prints, under each workload's digest, one line per solve
 with its iteration count and PSNR to 1e-6 dB. A change that is deliberately
@@ -76,13 +80,13 @@ def derain_states_digest(workload):
     denoisers = fixtures.derain_denoisers()
     for y, _ in workload.instances:
         state = tasks.derain_init(y, tasks.DerainWeights(), params)
-        trace = IterateTrace("dtlf")
+        trace = IterateTrace()
         for k in range(params.max_iters):
             state, rec = tasks.derain_step(y, state, denoisers, params, k)
             trace.append(rec)
             for layer in (state.x_b, state.x_r, state.beta, state.gamma):
                 h.update(layer.data.tobytes())
-            h.update(_floats([state.eta1, state.eta2, state.alpha]))
+            h.update(_floats([state.mu, state.mu, state.alpha]))
         h.update(trace.to_csv().encode())
     return h.hexdigest()
 

@@ -17,7 +17,7 @@ from .denoise import DenoiserSpec
 from .engine import dtlf_solve, tlf_solve
 from .errors import ConfigError, DenoiserError, FormatError, NumericalError, TlfError
 from .formats import read_image, read_kernel, read_mask, write_image, write_tlft
-from .metrics import psnr, ssim
+from .metrics import psnr, require_ssim_size, ssim
 from .noise import add_gaussian_noise
 from .problem import BASELINE_METHODS, SolverParams, solve_baseline
 from .tasks import DerainWeights, build_deblur, build_inpaint, derain_init, derain_solve
@@ -104,9 +104,14 @@ def _solve_composite(cfg, solver, prob, feas, gt):
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     out_root = Path(cfg.out)
+    observed = read_image(cfg.input)
+    # The ground truth (bench: the clean input) is size-checked before any
+    # solve, so that a run cannot fail in its final SSIM.
+    if cfg.task == "bench":
+        gt = require_ssim_size(observed, "bench input")
+    else:
+        gt = require_ssim_size(read_image(cfg.gt), "--gt image") if cfg.gt else None
     if cfg.task == "derain":
-        rainy = read_image(cfg.input)
-        gt = read_image(cfg.gt) if cfg.gt else None
         params = _solver_params(cfg)
         weights = DerainWeights(
             nu1=cfg.nu1, nu2=cfg.nu2, rho1=cfg.rho1, rho2=cfg.rho2,
@@ -114,21 +119,19 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         )
         n_b = cfg.denoiser_spec()
         n_r = DenoiserSpec.parse(cfg.denoiser_rain)
-        init = derain_init(rainy, weights, params, levels=cfg.levels)
-        state, trace = derain_solve(rainy, init, (n_b, n_r), params, ground_truth=gt)
+        init = derain_init(observed, weights, params, levels=cfg.levels)
+        state, trace = derain_solve(observed, init, (n_b, n_r), params, ground_truth=gt)
         residual = float(
-            np.linalg.norm(rainy.data - state.x_b.data - state.x_r.data)
-            / max(np.linalg.norm(rainy.data), 1e-30)
+            np.linalg.norm(observed.data - state.x_b.data - state.x_r.data)
+            / max(np.linalg.norm(observed.data), 1e-30)
         )
         entries = _summary("derain", "dtlf", trace, state.x_b, gt, [("layer_sum_residual", residual)])
         _write_run(out_root, {"background": state.x_b, "rain": state.x_r}, trace, entries)
         return EXIT_OK
 
     # deblur, inpaint and bench: composite solves
-    observed = read_image(cfg.input)
     if cfg.task == "inpaint":
         mask = read_mask(cfg.mask)
-        gt = read_image(cfg.gt) if cfg.gt else None
         prob, feas = build_inpaint(
             observed, mask, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
             levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
@@ -137,9 +140,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     else:
         kernel = read_kernel(cfg.kernel) if cfg.kernel else BlurKernel.delta()
         if cfg.task == "bench":  # blur the clean input, which is the ground truth
-            gt, observed = observed, CircularConvolution(kernel).apply(observed)
-        else:
-            gt = read_image(cfg.gt) if cfg.gt else None
+            observed = CircularConvolution(kernel).apply(observed)
         if cfg.noise_percent > 0:
             observed = add_gaussian_noise(observed, cfg.noise_percent, cfg.seed)
         prob, feas = build_deblur(

@@ -77,10 +77,13 @@ class ExperimentConfig:
     def validate(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        for name in self.solver_list():
+        solvers = self.solver_list()
+        for name in solvers:
             if name not in SOLVERS:
                 raise ConfigError(f"unknown solver {name!r}; expected one of {SOLVERS}")
-        if self.task != "bench" and len(self.solver_list()) > 1:
+        if len(set(solvers)) < len(solvers):
+            raise ConfigError(f"solver list {self.solver!r} names a solver twice")
+        if self.task != "bench" and len(solvers) > 1:
             raise ConfigError(f"{self.task} runs one solver; only bench takes a comma list")
         if not self.input:
             raise ConfigError("input image path is required")

@@ -39,7 +39,6 @@ class DenoiserSpec:
     strength: float = 0.0
     schedule: tuple | None = None  # per-outer-iteration strengths
     command: str = ""
-    timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -131,7 +130,7 @@ def denoise(spec: DenoiserSpec, x: ImageTensor, iter_index: int = 0) -> ImageTen
     if strength == 0.0:
         return x
     if spec.kind == "external":
-        return external_roundtrip(spec.command, x, hint=strength, timeout=spec.timeout)
+        return external_roundtrip(spec.command, x, hint=strength)
     if spec.kind == "tv-rof":
         return _tv_rof(x, strength)
     if spec.kind == "recursive-filter":

@@ -4,8 +4,8 @@ One iteration aggregates the proximal-gradient point x_F with the latent
 feasibility solution x_G (or its denoiser-anchored variant x_Gmu) through a
 geometrically decaying weight alpha, then lets two guards police the result:
 
-* MDUS keeps the aggregate only if it does not increase F, else falls back
-  to x_F; alpha decays by gamma either way.
+* MDUS (``problem.mdus``) keeps the aggregate only if it does not increase
+  F, else falls back to x_F; alpha decays by gamma either way.
 * BUS (data-driven runs only) keeps the anchored aggregate only while
   ||x_Gmu - x|| <= C * ||x_G - x||, else falls back to the model-based
   aggregate and shrinks the anchor weight mu by beta.
@@ -27,36 +27,14 @@ from . import feasibility as _feas
 from .denoise import DenoiserSpec, denoise
 from .errors import DenoiserError
 from .feasibility import FeasibilityModel
-from .problem import CompositeProblem, Point, SolverParams, eval_F, iterate, pg_step
+from .problem import CompositeProblem, Point, SolverParams, eval_F, iterate, mdus, pg_step
 from .tensor import ImageTensor
 from .trace import BUS_ACCEPTED, BUS_FALLBACK, BUS_NA, MDUS_BRANCHES, TraceRecord
 
 
-class MdusResult(NamedTuple):
-    x: ImageTensor
-    alpha: float
-    F_value: float
-    chosen: int  # 0: v, i: the i-th fallback
-
-
 class BusResult(NamedTuple):
-    accepted_z: bool
+    accepted: bool
     mu: float
-
-
-def mdus(fn, v, *fallbacks, alpha: float, gamma: float) -> MdusResult:
-    """Monotone descent update: keep the first point of least ``fn``; decay alpha.
-
-    A later point replaces the current choice unless the choice's F is <=
-    its own: a tie keeps the earlier point (v first), and a NaN on either
-    side moves to the later one.
-    """
-    x, f_x, chosen = v, fn(v), 0
-    for i, point in enumerate(fallbacks, 1):
-        f_point = fn(point)
-        if not f_x <= f_point:
-            x, f_x, chosen = point, f_point, i
-    return MdusResult(x, gamma * alpha, f_x, chosen)
 
 
 def bus(norm_xGmu: float, norm_xG: float, mu: float, beta: float, C: float) -> BusResult:
@@ -79,9 +57,9 @@ def _dist(a: ImageTensor, b: ImageTensor) -> float:
 
 
 class LatentStep(NamedTuple):
-    guard: MdusResult
+    x: object  # the point MDUS kept
+    alpha: float  # the aggregation weight for the next step
     mu: float  # the anchor weight for the next step
-    accepted_z: bool  # BUS kept the anchored point; False for TLF, which has none
     record: TraceRecord
 
 
@@ -93,14 +71,15 @@ def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, ag
     rejects, so a failed denoiser costs the anchored point, never the
     solve.  BUS chooses between x_Gmu and x_G, ``aggregate(alpha, latent,
     x_F)`` builds v, and MDUS keeps the first of v, x_F and ``fallbacks``
-    with least ``objective``.  ``dist(point, x)`` measures the displacements
-    the record keeps.
+    with least ``objective``; alpha then decays by gamma, and mu by beta
+    when BUS rejects.  ``dist(point, x)`` measures the displacements the
+    record keeps.
     """
     rec = TraceRecord(
         k=k, F_value=math.nan, norm_xF_x=dist(x_F, x), norm_xG_x=dist(x_G, x),
         alpha=alpha, bus_branch=BUS_NA,
     )
-    latent, accepted_z = x_G, False
+    latent = x_G
     if anchored is not None:
         try:
             x_Gmu = anchored()
@@ -108,16 +87,16 @@ def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, ag
             x_Gmu = None
         rec.norm_xGmu_x = math.nan if x_Gmu is None else dist(x_Gmu, x)
         rec.mu = mu
-        accepted_z, mu = bus(rec.norm_xGmu_x, rec.norm_xG_x, mu, params.beta, params.bus_c)
-        rec.bus_branch = BUS_ACCEPTED if accepted_z else BUS_FALLBACK
-        if accepted_z:
+        accepted, mu = bus(rec.norm_xGmu_x, rec.norm_xG_x, mu, params.beta, params.bus_c)
+        rec.bus_branch = BUS_ACCEPTED if accepted else BUS_FALLBACK
+        if accepted:
             latent = x_Gmu
-    guard = mdus(objective, aggregate(alpha, latent, x_F), x_F, *fallbacks, alpha=alpha, gamma=params.gamma)
+    guard = mdus(objective, aggregate(alpha, latent, x_F), x_F, *fallbacks)
     rec.F_value, rec.mdus_branch = guard.F_value, MDUS_BRANCHES[guard.chosen]
-    return LatentStep(guard, mu, accepted_z, rec)
+    return LatentStep(guard.x, params.gamma * alpha, mu, rec)
 
 
-def _latent_solve(method, prob, feas, denoiser, params, x0, ground_truth):
+def _latent_solve(prob, feas, denoiser, params, x0, ground_truth):
     """TLF (no denoiser) or DTLF: pg_step and the feasibility solves feed latent_step."""
     t = params.resolve_step(prob.lipschitz)
     alpha, mu = params.alpha0, params.mu0
@@ -142,12 +121,12 @@ def _latent_solve(method, prob, feas, denoiser, params, x0, ground_truth):
             None if denoiser is None else anchored, mu, alpha, params,
             objective, _dist, aggregate,
         )
-        alpha, mu = out.guard.alpha, out.mu
-        return out.guard.x, out.record
+        alpha, mu = out.alpha, out.mu
+        return out.x, out.record
 
     # Only iterate holds the start Point, so its arrays go once step 0 is done.
     last, trace = iterate(
-        method, Point(prob, prob.default_init() if x0 is None else x0), step, params,
+        Point(prob, prob.default_init() if x0 is None else x0), step, params,
         objective, lambda p: p.image, ground_truth,
     )
     return last.x, trace
@@ -161,7 +140,7 @@ def tlf_solve(
     ground_truth: ImageTensor | None = None,
 ):
     """Task-driven latent feasibility iteration (model-based constraint)."""
-    return _latent_solve("tlf", prob, feas, None, params, x0, ground_truth)
+    return _latent_solve(prob, feas, None, params, x0, ground_truth)
 
 
 def dtlf_solve(
@@ -177,4 +156,4 @@ def dtlf_solve(
     A denoiser failure at iteration k is absorbed as a BUS rejection: the
     iteration falls back to the model-based aggregate and mu decays.
     """
-    return _latent_solve("dtlf", prob, feas, denoiser, params, x0, ground_truth)
+    return _latent_solve(prob, feas, denoiser, params, x0, ground_truth)

@@ -9,8 +9,8 @@ solves the quadratic x-subproblem
     (K^T K + sum_j 2*rho grad_j^T grad_j + mu*I) x
         = K^T b + sum_j 2*rho grad_j^T z_j + mu*x_tilde
 
-exactly in the frequency domain when K is circulant, or otherwise (mask
-operators for inpainting) by warm-started conjugate gradient with a Jacobi
+exactly in the frequency domain when K states its ``gram_spectrum``, or
+otherwise (masks) by warm-started conjugate gradient with a Jacobi
 preconditioner: D = diag(K^T K) + 2*rho*(2[W>1] + 2[H>1]) + mu, the
 matrix's own diagonal.  CG stops once ||r|| <= cg_tol/2 * ||rhs||; a true
 relative residual above cg_tol after cg_max_iters iterations raises
@@ -27,11 +27,7 @@ import numpy as np
 from . import tensor as _tensor
 from .errors import ConfigError, NumericalError, ValidationError
 from .prox import ProxSpec, prox_lp_array
-from .tensor import CircularConvolution, Identity, ImageTensor, LinearOperator, diff_stencil
-
-
-def _is_circulant(op: LinearOperator) -> bool:
-    return isinstance(op, (Identity, CircularConvolution))
+from .tensor import ImageTensor, LinearOperator, diff_stencil
 
 
 @dataclass(frozen=True)
@@ -45,8 +41,8 @@ class FeasibilityModel:
     cg_tol: float = 1e-8
     cg_max_iters: int = 2000
     # Loop-invariant terms of the x-subproblem, computed once per model:
-    # K^T b, and when K is circulant the anchor-free Fourier denominator
-    # |K^|^2 + 2 rho |g_h^|^2 + 2 rho |g_v^|^2 on the rfft grid (None: CG).
+    # K^T b, and when K states its gram_spectrum the anchor-free Fourier
+    # denominator |K^|^2 + 2 rho |g_h^|^2 + 2 rho |g_v^|^2 on the rfft grid (None: CG).
     ktb: np.ndarray = field(init=False, repr=False, compare=False)
     fft_base: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -63,7 +59,7 @@ class FeasibilityModel:
         if self.cg_max_iters < 1:
             raise ConfigError("cg_max_iters must be >= 1")
         object.__setattr__(self, "ktb", self.data_op._adjoint(self.observation.data))
-        object.__setattr__(self, "fft_base", _fft_base(self) if _is_circulant(self.data_op) else None)
+        object.__setattr__(self, "fft_base", _fft_base(self))
 
 
 def _grad_freq_sq(height, width):
@@ -75,12 +71,11 @@ def _grad_freq_sq(height, width):
 
 def _fft_base(model):
     h, w = model.observation.height, model.observation.width
+    k2 = model.data_op.gram_spectrum(h, w)
+    if k2 is None:
+        return None
     rho = model.hqs_rho
     gv2, gh2 = _grad_freq_sq(h, w)
-    if isinstance(model.data_op, CircularConvolution):
-        k2 = np.abs(model.data_op.frequency_response(h, w)) ** 2
-    else:
-        k2 = 1.0
     return k2 + 2.0 * rho * gh2 + 2.0 * rho * gv2
 
 

@@ -99,22 +99,15 @@ def _decode_tlft(raw) -> ImageTensor:
     return ImageTensor(np.frombuffer(body, dtype="<f8").reshape(c, h, w))
 
 
-def read_tlft(path) -> ImageTensor:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != TLFT_MAGIC:
-        raise FormatError(f"bad TLFT magic {raw[:4]!r}")
-    return _decode_tlft(raw)
-
-
 def write_tlft(path, img: ImageTensor):
     header = TLFT_MAGIC + struct.pack("<III", img.height, img.width, img.channels)
     with open(path, "wb") as fh:
         fh.write(header + img.data.astype("<f8").tobytes())
 
 
-def read_kernel(path, normalize=True) -> BlurKernel:
-    """Plain-text kernel: first line 'kh kw', then row-major taps."""
+def read_kernel(path) -> BlurKernel:
+    """Plain-text kernel: first line 'kh kw', then row-major taps, which are
+    normalized to sum 1."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
@@ -126,7 +119,7 @@ def read_kernel(path, normalize=True) -> BlurKernel:
         raise FormatError(f"bad kernel file: {exc}") from exc
     if taps.size != kh * kw:
         raise FormatError(f"kernel file has {taps.size} taps, expected {kh * kw}")
-    return BlurKernel(taps.reshape(kh, kw), normalize=normalize)
+    return BlurKernel(taps.reshape(kh, kw))
 
 
 def write_kernel(path, kernel: BlurKernel):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import ImageTensor
+from .tensor import BlurKernel, ImageTensor
 
 PSNR_CAP = 100.0
 
@@ -30,10 +30,13 @@ def psnr(x: ImageTensor, ref: ImageTensor, mask=None) -> float:
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
 
 
-def _gaussian_window(size, sigma):
-    r = np.arange(size) - size // 2
-    g = np.exp(-(r[:, None] ** 2 + r[None, :] ** 2) / (2.0 * sigma ** 2))
-    return g / g.sum()
+def require_ssim_size(img: ImageTensor, name: str = "image") -> ImageTensor:
+    """``img``, after checking that it covers the SSIM window (ValidationError)."""
+    if img.height < SSIM_WINDOW or img.width < SSIM_WINDOW:
+        raise ValidationError(
+            f"{name} {img.height}x{img.width} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
+        )
+    return img
 
 
 def _to_gray(img: ImageTensor) -> np.ndarray:
@@ -52,13 +55,10 @@ def ssim(x: ImageTensor, ref: ImageTensor) -> float:
     """
     if x.shape != ref.shape:
         raise ShapeError(f"shape mismatch {x.shape} vs {ref.shape}")
-    if x.height < SSIM_WINDOW or x.width < SSIM_WINDOW:
-        raise ValidationError(
-            f"image {x.height}x{x.width} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window"
-        )
+    require_ssim_size(x)
     a = _to_gray(x)
     b = _to_gray(ref)
-    win = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+    win = BlurKernel.gaussian(SSIM_WINDOW, SSIM_SIGMA).taps
     mu_a = _windowed_mean(a, win)
     mu_b = _windowed_mean(b, win)
     var_a = _windowed_mean(a * a, win) - mu_a ** 2

@@ -3,6 +3,7 @@ its proximal-gradient map, and the PG / APG / mAPG baseline solvers.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,27 +20,27 @@ BASELINE_METHODS = ("pg", "apg", "mapg")
 class CompositeProblem:
     """Smooth data-fit plus prox-able lp regularizer.
 
-    The data operator is A = K o W^T: ``synthesis`` (W^T, None for the
-    identity) maps the optimization variable to an image and ``image_op``
-    (K) maps that image to observation space, so A x = K(W^T x) and
-    A^T r = W(K^T r).
+    The data operator is A = K o W^T: ``synthesis`` (W^T; ``Identity()``
+    for an image-space problem) maps the optimization variable to an image
+    and ``image_op`` (K) maps that image to observation space, so
+    A x = K(W^T x) and A^T r = W(K^T r).
     """
 
     image_op: LinearOperator
     observation: ImageTensor
     reg_spec: ProxSpec  # tau field carries the weight lambda1
     lipschitz: float
-    synthesis: LinearOperator | None = None
+    synthesis: LinearOperator
 
     def __post_init__(self):
         if self.lipschitz <= 0:
             raise ConfigError(f"lipschitz must be > 0, got {self.lipschitz}")
 
     def to_image(self, x: ImageTensor) -> ImageTensor:
-        return self.synthesis.apply(x) if self.synthesis is not None else x
+        return self.synthesis.apply(x)
 
     def from_image(self, img: ImageTensor) -> ImageTensor:
-        return self.synthesis.adjoint(img) if self.synthesis is not None else img
+        return self.synthesis.adjoint(img)
 
     def default_init(self) -> ImageTensor:
         return self.from_image(self.observation)
@@ -152,6 +153,28 @@ def pg_step(prob: CompositeProblem, x, t: float) -> ImageTensor:
     )
 
 
+class MdusResult(NamedTuple):
+    x: object
+    F_value: float
+    chosen: int  # 0: v, i: the i-th fallback
+
+
+def mdus(fn, v, *fallbacks) -> MdusResult:
+    """Monotone descent update: keep the first point of least ``fn``.
+
+    A later point replaces the current choice unless the choice's F is <=
+    its own: a tie keeps the earlier point (v first), and a NaN on either
+    side moves to the later one.  This is the monotone-APG rule (Li & Lin,
+    NeurIPS 2015), which mAPG and every latent step share.
+    """
+    x, f_x, chosen = v, fn(v), 0
+    for i, point in enumerate(fallbacks, 1):
+        f_point = fn(point)
+        if not f_x <= f_point:
+            x, f_x, chosen = point, f_point, i
+    return MdusResult(x, f_x, chosen)
+
+
 def relative_change(new: np.ndarray, old: np.ndarray) -> float:
     num = float(np.linalg.norm(new - old))
     den = float(np.linalg.norm(new))
@@ -164,7 +187,7 @@ def _tensor_change(new: ImageTensor, old: ImageTensor) -> float:
     return relative_change(new.data, old.data)
 
 
-def iterate(method, x, step, params, objective, image, ground_truth=None, change=_tensor_change):
+def iterate(x, step, params, objective, image, ground_truth=None, change=_tensor_change):
     """The outer loop of every solver in the package.
 
     ``objective(x)`` is the trace's initial F.  ``step(x, k)`` returns the
@@ -173,7 +196,7 @@ def iterate(method, x, step, params, objective, image, ground_truth=None, change
     ``psnr`` from ``image(new)``; it stops once rel_err <= rel_tol or after
     max_iters steps.  Returns the last iterate and the IterateTrace.
     """
-    trace = IterateTrace(method=method, initial_F=objective(x))
+    trace = IterateTrace(initial_F=objective(x))
     for k in range(params.max_iters):
         x_next, rec = step(x, k)
         rec.rel_err = change(x_next, x)
@@ -215,7 +238,7 @@ def solve_baseline(
             x_next = Point(prob, pg_step(prob, y, t))
             if method == "mapg":  # momentum candidate kept only if it does not lose to plain PG
                 u = Point(prob, pg_step(prob, x, t))
-                x_next = x_next if eval_F(prob, x_next) <= eval_F(prob, u) else u
+                x_next = mdus(lambda p: eval_F(prob, p), x_next, u).x
         x_prev = x.x
         rec = TraceRecord(
             k=k,
@@ -226,6 +249,6 @@ def solve_baseline(
 
     # Only iterate holds the start Point, so its arrays go once step 0 is done.
     last, trace = iterate(
-        method, Point(prob, x), step, params, lambda p: eval_F(prob, p), lambda p: p.image, ground_truth
+        Point(prob, x), step, params, lambda p: eval_F(prob, p), lambda p: p.image, ground_truth
     )
     return last.x, trace

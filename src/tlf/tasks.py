@@ -73,12 +73,10 @@ def build_deblur(
     """Wavelet-coefficient deblurring problem plus its TV feasibility model.
 
     The data operator is K o W^T; with W orthonormal the gradient Lipschitz
-    constant is ||K||_2^2, read off exactly from the kernel's frequency
-    response (K is circulant).
+    constant is ||K||_2^2, the largest entry of K's gram_spectrum.
     """
     conv = CircularConvolution(kernel)
-    resp = conv.frequency_response(blurry.height, blurry.width)
-    lipschitz = float(np.max(np.abs(resp) ** 2))
+    lipschitz = float(np.max(conv.gram_spectrum(blurry.height, blurry.width)))
     return _composite(
         blurry, conv, lipschitz, lambda1, p, lambda2, q, levels,
         hqs_rho=hqs_rho, hqs_iters=hqs_iters,
@@ -140,10 +138,13 @@ class DerainState:
     beta: ImageTensor
     gamma: ImageTensor
     weights: DerainWeights
-    eta1: float
-    eta2: float
+    mu: float  # the anchor weight of both layers' feasibility steps
     alpha: float
     levels: int = DEFAULT_LEVELS
+
+
+def _outside_box(*layers) -> bool:
+    return any(layer.data.min() < 0.0 or layer.data.max() > 1.0 for layer in layers)
 
 
 def derain_objective(y: ImageTensor, state: DerainState, syntheses=None) -> float:
@@ -158,9 +159,8 @@ def derain_objective(y: ImageTensor, state: DerainState, syntheses=None) -> floa
     own codes, which a caller that has them passes instead of resynthesizing.
     """
     w = state.weights
-    for layer in (state.x_b, state.x_r):
-        if layer.data.min() < 0.0 or layer.data.max() > 1.0:
-            return math.inf
+    if _outside_box(state.x_b, state.x_r):
+        return math.inf
     if syntheses is None:
         syn = WaveletInverse(state.levels)
         syntheses = syn.apply(state.beta), syn.apply(state.gamma)
@@ -197,8 +197,7 @@ def derain_init(y: ImageTensor, weights: DerainWeights, params: SolverParams, le
         beta=ana.apply(x_b),
         gamma=ana.apply(x_r),
         weights=weights,
-        eta1=params.mu0,
-        eta2=params.mu0,
+        mu=params.mu0,
         alpha=params.alpha0,
         levels=levels,
     )
@@ -252,9 +251,9 @@ def derain_step(
 ):
     """One synchronized outer iteration over both layers, guarded by latent_step.
 
-    BUS weighs eta1 and eta2 decays on the same decision; MDUS's last
-    fallback keeps the layers and moves only the codes.  Returns the next
-    state and the trace record of the iteration.
+    Both layers' anchored steps share the weight mu, which BUS decays on
+    rejection; MDUS's last fallback keeps the layers and moves only the
+    codes.  Returns the next state and the trace record of the iteration.
     """
     w = state.weights
     ana = WaveletForward(state.levels)
@@ -290,16 +289,15 @@ def derain_step(
         xt_r = denoise(n_r, state.x_r, k)
         return replace(
             codes,
-            x_b=project_box01(_feas.solve_G_mu(bg_model, state.x_b, xt_b, state.eta1)),
-            x_r=project_box01(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.eta2, w.rho2, w.p2))),
+            x_b=project_box01(_feas.solve_G_mu(bg_model, state.x_b, xt_b, state.mu)),
+            x_r=project_box01(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.mu, w.rho2, w.p2))),
         )
 
     out = latent_step(
-        k, state, x_F, x_G, anchored, state.eta1, state.alpha, params,
+        k, state, x_F, x_G, anchored, state.mu, state.alpha, params,
         lambda st: derain_objective(y, st, syntheses), _layers_dist, _layers_aggregate, codes,
     )
-    eta2 = state.eta2 if out.accepted_z else params.beta * state.eta2
-    return replace(out.guard.x, eta1=out.mu, eta2=eta2, alpha=out.guard.alpha), out.record
+    return replace(out.x, mu=out.mu, alpha=out.alpha), out.record
 
 
 def _layers_change(new: DerainState, old: DerainState) -> float:
@@ -317,18 +315,12 @@ def derain_solve(
 ):
     """Iterate derain_step from ``init`` (None: derain_init with default weights)
     to joint relative tolerance on (x_b, x_r)."""
-    if y.data.min() < 0.0 or y.data.max() > 1.0:
+    if _outside_box(y):
         raise ValidationError("y must lie in [0, 1]")
     state = derain_init(y, DerainWeights(), params) if init is None else init
-    if init is not None and (
-        state.x_b.data.min() < 0.0
-        or state.x_b.data.max() > 1.0
-        or state.x_r.data.min() < 0.0
-        or state.x_r.data.max() > 1.0
-    ):
+    if init is not None and _outside_box(state.x_b, state.x_r):
         raise ValidationError("initial layers must lie in [0, 1]")
     return iterate(
-        "dtlf",
         state,
         lambda st, k: derain_step(y, st, denoisers, params, k),
         params,

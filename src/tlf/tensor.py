@@ -149,6 +149,10 @@ class LinearOperator:
         """diag(A^T A), broadcastable to the image shape; None when unknown."""
         return None
 
+    def gram_spectrum(self, height, width):
+        """|A^|^2 on the rfft grid of an HxW image if A is circulant per channel, else None."""
+        return None
+
     def _gram(self, a, out):
         """Write A^T A a into ``out``."""
         # A^T A a may be a itself (Identity): copy it, never write into it.
@@ -162,7 +166,7 @@ class LinearOperator:
 
 
 class Identity(LinearOperator):
-    def gram_diagonal(self):
+    def gram_spectrum(self, height, width):
         return 1.0
 
     def _apply(self, a):
@@ -196,13 +200,8 @@ class CircularConvolution(LinearOperator):
             self._freq_cache[key] = pair
         return pair
 
-    def gram_diagonal(self):
-        # every column of a circulant matrix holds each tap once
-        return float(np.sum(self.kernel.taps ** 2))
-
-    def frequency_response(self, height, width):
-        """rfft2 of the kernel embedded at the origin of an HxW grid."""
-        return self._responses(height, width)[0]
+    def gram_spectrum(self, height, width):
+        return np.abs(self._responses(height, width)[0]) ** 2
 
     def _conv(self, a, conjugate):
         resp = self._responses(a.shape[1], a.shape[2])[conjugate]

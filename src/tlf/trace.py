@@ -50,7 +50,6 @@ def _fmt(value):
 class IterateTrace:
     """Ordered per-iteration records for one solve."""
 
-    method: str
     initial_F: float = 0.0
     records: list = field(default_factory=list)
 

@@ -8,7 +8,7 @@ from tlf import cli
 from tlf.cli import build_parser, main
 from tlf.config import DEFAULTS
 from tlf.fixtures import deblur_fixture, inpaint_fixture, rain_fixture
-from tlf.formats import read_tlft, write_kernel, write_mask, write_tlft
+from tlf.formats import read_image, write_kernel, write_mask, write_tlft
 
 
 @pytest.fixture
@@ -73,6 +73,18 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+        # a solver named twice would make two bench jobs write one directory
+        code = run_cli(
+            [
+                "bench",
+                "--input", deblur_files / "gt.tlft",
+                "--solver", "pg,pg",
+                "--jobs", "2",
+                "--out", deblur_files / "o",
+            ]
+        )
+        assert code == 1
+        assert not (deblur_files / "o").exists()
 
     def test_missing_required_input(self, tmp_path):
         assert run_cli(["deblur", "--out", tmp_path / "o"]) == 1
@@ -100,6 +112,29 @@ class TestExitCodes:
         bad.write_bytes(b"TLFT" + struct.pack("<III", 16, 16, 1) + data.astype("<f8").tobytes())
         assert run_cli(["deblur", "--input", bad, "--out", tmp_path / "o"]) == 1
         assert "image contains NaN or Inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["deblur", "inpaint", "derain", "bench"])
+    def test_image_smaller_than_ssim_window(self, tmp_path, capsys, monkeypatch, task):
+        # the ground truth (bench: the input) is too small for SSIM, so the
+        # run exits 1 before any solve and writes nothing
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr(cli, "_solve_composite", no_solve)
+        monkeypatch.setattr(cli, "derain_solve", no_solve)
+        gt, mask, observed = inpaint_fixture(seed=5, size=8)
+        write_tlft(tmp_path / "in.tlft", observed)
+        write_tlft(tmp_path / "gt.tlft", gt)
+        write_mask(tmp_path / "mask.pgm", mask)
+        extra = {"inpaint": ["--mask", tmp_path / "mask.pgm"], "bench": []}.get(task, [])
+        if task != "bench":
+            extra += ["--gt", tmp_path / "gt.tlft"]
+        out = tmp_path / "o"
+        assert run_cli([task, "--input", tmp_path / "in.tlft", *extra, "--out", out]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert ("bench input" if task == "bench" else "--gt image") in err
+        assert "smaller than 11x11 SSIM window" in err
 
     def test_inpaint_needs_mask(self, deblur_files):
         code = run_cli(
@@ -318,7 +353,7 @@ class TestDeblurRun:
         csv_a = (deblur_files / "a" / "trace.csv").read_bytes()
         csv_b = (deblur_files / "b" / "trace.csv").read_bytes()
         assert csv_a == csv_b
-        restored = read_tlft(deblur_files / "a" / "restored.tlft")
+        restored = read_image(deblur_files / "a" / "restored.tlft")
         assert restored.shape == (1, 64, 64)
         summary = (deblur_files / "a" / "summary.txt").read_text()
         assert "psnr = " in summary and "ssim = " in summary
@@ -378,8 +413,8 @@ class TestDerainRun:
                 "--out", tmp_path / "out",
             ]
         ) == 0
-        bg = read_tlft(tmp_path / "out" / "background.tlft")
-        rain = read_tlft(tmp_path / "out" / "rain.tlft")
+        bg = read_image(tmp_path / "out" / "background.tlft")
+        rain = read_image(tmp_path / "out" / "rain.tlft")
         assert bg.data.min() >= 0.0 and bg.data.max() <= 1.0
         assert rain.data.min() >= 0.0 and rain.data.max() <= 1.0
         assert "layer_sum_residual" in (tmp_path / "out" / "summary.txt").read_text()

@@ -25,7 +25,7 @@ from tlf.fixtures import (
 from tlf.problem import CompositeProblem, SolverParams, eval_F, pg_step, solve_baseline
 from tlf.prox import ProxSpec
 from tlf.tasks import DerainWeights, build_deblur, derain_init, derain_solve, derain_step
-from tlf.tensor import BlurKernel, CircularConvolution, ImageTensor, LinearOperator
+from tlf.tensor import BlurKernel, CircularConvolution, Identity, ImageTensor, LinearOperator
 from tlf.trace import BUS_ACCEPTED, BUS_FALLBACK, MDUS_ACCEPTED
 
 from conftest import estimate_lipschitz, random_image
@@ -37,7 +37,7 @@ def image_space_setup(rng, h=32, w=32, lam1=5e-4, lam2=2e-3, p=1.0):
     gt = random_image(rng, h, w)
     b = ImageTensor(op.apply(gt).data + 0.01 * rng.standard_normal((1, h, w)))
     lip = estimate_lipschitz(op, shape=(h, w), iters=100)
-    prob = CompositeProblem(op, b, ProxSpec(p, lam1), lip)
+    prob = CompositeProblem(op, b, ProxSpec(p, lam1), lip, Identity())
     feas = FeasibilityModel(
         data_op=op, observation=b, tv_weight=lam2, hqs_iters=5
     )
@@ -49,51 +49,65 @@ class TestMdus:
         v = random_image(rng, 4, 4)
         x_f = random_image(rng, 4, 4)
         table = {id(v): 3.0, id(x_f): 5.0}
-        res = mdus(lambda z: table[id(z)], v, x_f, alpha=0.9, gamma=0.5)
+        res = mdus(lambda z: table[id(z)], v, x_f)
         assert res.x is v and res.chosen == 0
-        assert res.alpha == 0.45
         assert res.F_value == 3.0
 
     def test_falls_back_on_increase(self, rng):
         v = random_image(rng, 4, 4)
         x_f = random_image(rng, 4, 4)
         table = {id(v): 7.0, id(x_f): 5.0}
-        res = mdus(lambda z: table[id(z)], v, x_f, alpha=0.9, gamma=0.5)
+        res = mdus(lambda z: table[id(z)], v, x_f)
         assert res.x is x_f and res.chosen == 1
-        assert res.alpha == 0.45  # decay runs unconditionally
+        assert res.F_value == 5.0
 
     def test_tie_accepts_v(self, rng):
         v = random_image(rng, 4, 4)
         x_f = random_image(rng, 4, 4)
-        res = mdus(lambda z: 1.0, v, x_f, alpha=0.5, gamma=0.9)
+        res = mdus(lambda z: 1.0, v, x_f)
         assert res.x is v and res.chosen == 0
+
+    def test_nan_moves_to_the_fallback(self, rng, monkeypatch):
+        v = random_image(rng, 4, 4)
+        x_f = random_image(rng, 4, 4)
+        for table in ({id(v): math.nan, id(x_f): 5.0}, {id(v): 3.0, id(x_f): math.nan}):
+            res = mdus(lambda z: table[id(z)], v, x_f)
+            assert res.x is x_f and res.chosen == 1
+        # mAPG chooses through mdus too: with every F NaN it keeps the plain
+        # PG point at each step, so it runs PG's iterates exactly
+        prob, _, _ = image_space_setup(rng, 16, 16)
+        params = SolverParams(max_iters=10, rel_tol=0.0)
+        x_pg, _ = solve_baseline(prob, "pg", params)
+        monkeypatch.setattr(tlf.problem, "eval_F", lambda prob, x: math.nan)
+        x_mapg, _ = solve_baseline(prob, "mapg", params)
+        assert np.array_equal(x_mapg.data, x_pg.data)
 
     def test_composite_problem_evaluation(self, rng):
         prob, _, _ = image_space_setup(rng, 16, 16)
         x = prob.default_init()
         x_f = pg_step(prob, x, 0.5 / prob.lipschitz)
-        res = mdus(lambda v: eval_F(prob, v), x, x_f, alpha=0.5, gamma=0.9)
+        res = mdus(lambda v: eval_F(prob, v), x, x_f)
         assert res.F_value == min(eval_F(prob, x), eval_F(prob, x_f))
 
 
 class TestBus:
     def test_within_bound_keeps_z(self):
         res = bus(0.5, 0.4, mu=0.9, beta=0.5, C=2.0)
-        assert res.accepted_z and res.mu == 0.9
+        assert res.accepted and res.mu == 0.9
 
     def test_out_of_bound_falls_back(self):
         res = bus(1.0, 0.4, mu=0.9, beta=0.5, C=2.0)
-        assert not res.accepted_z
+        assert not res.accepted
         assert res.mu == 0.45
 
     def test_zero_displacement_always_accepted(self):
         res = bus(0.0, 0.7, mu=1.0, beta=0.5, C=1e-6)
-        assert res.accepted_z
+        assert res.accepted
 
     def test_nan_displacement_rejected(self):
         # a failed denoiser leaves no anchored point: its norm is NaN
         res = bus(math.nan, 0.4, mu=0.9, beta=0.5, C=2.0)
-        assert not res.accepted_z
+        assert not res.accepted
         assert res.mu == 0.45
 
 

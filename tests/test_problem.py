@@ -24,7 +24,7 @@ def make_deblur(rng, h=16, w=16, p=0.5, lam=1e-3, noise=0.01):
     gt = random_image(rng, h, w)
     b = ImageTensor(op.apply(gt).data + noise * rng.standard_normal((1, h, w)))
     lip = estimate_lipschitz(op, shape=(h, w), iters=100)
-    return CompositeProblem(op, b, ProxSpec(p, lam), lip)
+    return CompositeProblem(op, b, ProxSpec(p, lam), lip, Identity())
 
 
 def naive_eval_F(prob, x):
@@ -45,13 +45,13 @@ def naive_eval_F(prob, x):
 class TestEvalF:
     def test_zero_residual_zero_reg(self, rng):
         x = random_image(rng, 8, 8)
-        prob = CompositeProblem(Identity(), x, ProxSpec(1.0, 0.0), 1.0)
+        prob = CompositeProblem(Identity(), x, ProxSpec(1.0, 0.0), 1.0, Identity())
         assert eval_F(prob, x) == 0.0
 
     def test_hand_computed(self):
         x = ImageTensor(np.array([[[2.0]]]))
         prob = CompositeProblem(
-            Identity(), ImageTensor(np.zeros((1, 1))), ProxSpec(1.0, 1.0), 1.0
+            Identity(), ImageTensor(np.zeros((1, 1))), ProxSpec(1.0, 1.0), 1.0, Identity()
         )
         assert eval_F(prob, x) == pytest.approx(4.0, abs=1e-15)
 
@@ -64,13 +64,13 @@ class TestEvalF:
 class TestPgStep:
     def test_fixed_point(self, rng):
         x = random_image(rng, 8, 8)
-        prob = CompositeProblem(Identity(), x, ProxSpec(1.0, 0.0), 1.0)
+        prob = CompositeProblem(Identity(), x, ProxSpec(1.0, 0.0), 1.0, Identity())
         out = pg_step(prob, x, 0.5)
         assert np.array_equal(out.data, x.data)
 
     def test_one_pixel_hand_case(self):
         prob = CompositeProblem(
-            Identity(), ImageTensor(np.zeros((1, 1))), ProxSpec(1.0, 1.0), 1.0
+            Identity(), ImageTensor(np.zeros((1, 1))), ProxSpec(1.0, 1.0), 1.0, Identity()
         )
         x = ImageTensor(np.array([[[1.0]]]))
         out = pg_step(prob, x, 0.5)
@@ -112,7 +112,7 @@ class TestBaselines:
     @pytest.mark.parametrize("method", ["pg", "apg", "mapg"])
     def test_exact_least_squares(self, rng, method):
         b = random_image(rng, 8, 8)
-        prob = CompositeProblem(Identity(), b, ProxSpec(1.0, 0.0), 1.0)
+        prob = CompositeProblem(Identity(), b, ProxSpec(1.0, 0.0), 1.0, Identity())
         params = SolverParams(step=0.9999, max_iters=10, rel_tol=1e-10)
         x, trace = solve_baseline(
             prob, method, params, x0=ImageTensor(np.zeros((1, 8, 8)))

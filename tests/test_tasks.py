@@ -161,7 +161,7 @@ class TestDerainStep:
         zero = ImageTensor(np.zeros((1, 32, 32)))
         state = DerainState(
             x_b=y, x_r=zero, beta=ana.apply(y), gamma=ana.apply(zero),
-            weights=w, eta1=params.mu0, eta2=params.mu0, alpha=params.alpha0,
+            weights=w, mu=params.mu0, alpha=params.alpha0,
         )
         denoisers = (
             DenoiserSpec(kind="tv-rof", strength=0.0),
@@ -213,7 +213,7 @@ class TestDerainSolve:
             records.append(rec)
         for name in ("x_b", "x_r", "beta", "gamma"):
             assert np.array_equal(getattr(got, name).data, getattr(state, name).data)
-        assert (got.eta1, got.eta2, got.alpha) == (state.eta1, state.eta2, state.alpha)
+        assert (got.mu, got.alpha) == (state.mu, state.alpha)
         assert len(trace) == 3
         for solved, stepped in zip(trace, records):
             # derain_step leaves the change and the PSNR to the driver
@@ -246,8 +246,9 @@ class TestDerainSolve:
             new, rec = derain_step(y, state, (missing, missing), params, k)
             assert rec.bus_branch == BUS_FALLBACK
             assert math.isnan(rec.norm_xGmu_x)
-            assert new.eta1 == params.beta * state.eta1
-            assert new.eta2 == params.beta * state.eta2
+            # one weight anchors both layers: the record shows it, BUS decays it
+            assert rec.mu == state.mu
+            assert new.mu == params.beta * state.mu
             state = new
 
     def test_eta_underflow_keeps_running(self):
@@ -257,7 +258,7 @@ class TestDerainSolve:
         for k in range(params.max_iters):
             state, rec = derain_step(y, state, derain_denoisers(), params, k)
             assert rec.bus_branch == BUS_FALLBACK
-        assert state.eta1 == 0.0 and state.eta2 == 0.0
+        assert state.mu == 0.0
 
     def test_init_levels_reach_the_steps(self):
         # 20 is divisible by 4 but not by 8: only a 2-level state can step
