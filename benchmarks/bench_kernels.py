@@ -8,13 +8,20 @@ is ``python3 bench_e2e/run.py --workload ...`` (see bench_e2e/README.md).
 """
 
 import argparse
+import sys
 import timeit
+from pathlib import Path
 
 import numpy as np
 
-from tlf import _kernels as K
-from tlf.feasibility import FeasibilityModel, _normal_operator, solve_G
-from tlf.tensor import BlurKernel, CircularConvolution, ImageTensor, Mask, diff_stencil, irfft2, rfft2
+# time this checkout's package, not an installed one
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tlf import _kernels as K  # noqa: E402
+from tlf.feasibility import FeasibilityModel, _normal_operator, solve_G  # noqa: E402
+from tlf.tensor import (  # noqa: E402
+    BlurKernel, CircularConvolution, ImageTensor, Mask, diff_stencil, irfft2, rfft2,
+)
 
 
 def time_call(fn, repeats):

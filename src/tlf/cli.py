@@ -15,12 +15,12 @@ import numpy as np
 from .config import DEFAULTS, TASKS, ExperimentConfig, format_defaults, read_config_file
 from .denoise import DenoiserSpec
 from .engine import dtlf_solve, tlf_solve
-from .errors import ConfigError, DenoiserError, FormatError, NumericalError, TlfError
+from .errors import ConfigError, DenoiserError, FormatError, NumericalError, ShapeError, TlfError
 from .formats import read_image, read_kernel, read_mask, write_image, write_tlft
 from .metrics import psnr, require_ssim_size, ssim
 from .noise import add_gaussian_noise
-from .problem import BASELINE_METHODS, SolverParams, solve_baseline
-from .tasks import DerainWeights, build_deblur, build_inpaint, derain_init, derain_solve
+from .problem import BASELINE_METHODS, solve_baseline
+from .tasks import build_deblur, build_inpaint, derain_init, derain_solve
 from .tensor import BlurKernel, CircularConvolution
 
 EXIT_OK = 0
@@ -40,19 +40,6 @@ _FLAG_HELP = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _solver_params(cfg: ExperimentConfig) -> SolverParams:
-    return SolverParams(
-        step=cfg.step if cfg.step > 0 else None,
-        max_iters=cfg.max_iters,
-        rel_tol=cfg.rel_tol,
-        alpha0=cfg.alpha0,
-        gamma=cfg.gamma,
-        mu0=cfg.mu0,
-        beta=cfg.beta,
-        bus_c=cfg.bus_c,
-    )
 
 
 def _write_run(out_dir, images, trace, entries):
@@ -92,7 +79,7 @@ def _summary(task, solver, trace, image, gt, extra=()):
 
 def _solve_composite(cfg, solver, prob, feas, gt):
     """Run one solver on a composite problem; returns the restored image and trace."""
-    params = _solver_params(cfg)
+    params = cfg.solver_params()
     if solver in BASELINE_METHODS:
         x, trace = solve_baseline(prob, solver, params, ground_truth=gt)
     elif solver == "tlf":
@@ -111,15 +98,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         gt = require_ssim_size(observed, "bench input")
     else:
         gt = require_ssim_size(read_image(cfg.gt), "--gt image") if cfg.gt else None
+        if gt is not None and gt.data.shape != observed.data.shape:
+            raise ShapeError(f"--gt image shape {gt.data.shape} differs from input {observed.data.shape}")
     if cfg.task == "derain":
-        params = _solver_params(cfg)
-        weights = DerainWeights(
-            nu1=cfg.nu1, nu2=cfg.nu2, rho1=cfg.rho1, rho2=cfg.rho2,
-            p1=cfg.p1, p2=cfg.p2, recon_weight=cfg.recon_weight,
-        )
+        params = cfg.solver_params()
         n_b = cfg.denoiser_spec()
         n_r = DenoiserSpec.parse(cfg.denoiser_rain)
-        init = derain_init(observed, weights, params, levels=cfg.levels)
+        init = derain_init(observed, cfg.derain_weights(), params, levels=cfg.levels)
         state, trace = derain_solve(observed, init, (n_b, n_r), params, ground_truth=gt)
         residual = float(
             np.linalg.norm(observed.data - state.x_b.data - state.x_r.data)
@@ -130,23 +115,18 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         return EXIT_OK
 
     # deblur, inpaint and bench: composite solves
+    weights = (cfg.lambda1, cfg.p, cfg.lambda2, cfg.q)
+    keywords = dict(levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters)
     if cfg.task == "inpaint":
         mask = read_mask(cfg.mask)
-        prob, feas = build_inpaint(
-            observed, mask, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
-            levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
-            cg_tol=cfg.cg_tol,
-        )
+        prob, feas = build_inpaint(observed, mask, *weights, **keywords, cg_tol=cfg.cg_tol)
     else:
         kernel = read_kernel(cfg.kernel) if cfg.kernel else BlurKernel.delta()
         if cfg.task == "bench":  # blur the clean input, which is the ground truth
             observed = CircularConvolution(kernel).apply(observed)
         if cfg.noise_percent > 0:
             observed = add_gaussian_noise(observed, cfg.noise_percent, cfg.seed)
-        prob, feas = build_deblur(
-            observed, kernel, cfg.lambda1, cfg.p, cfg.lambda2, cfg.q,
-            levels=cfg.levels, hqs_rho=cfg.hqs_rho, hqs_iters=cfg.hqs_iters,
-        )
+        prob, feas = build_deblur(observed, kernel, *weights, **keywords)
 
     def one(solver, out_dir):
         restored, trace = _solve_composite(cfg, solver, prob, feas, gt)
@@ -160,12 +140,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         one(cfg.solver_list()[0], out_root)
         return EXIT_OK
     # bench: every solver in its own directory, then one PSNR comparison
-    solvers = cfg.solver_list()
-    if cfg.jobs > 1 and len(solvers) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda s: one(s, out_root / s), solvers))
-    else:
-        results = [one(s, out_root / s) for s in solvers]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        results = list(pool.map(lambda s: one(s, out_root / s), cfg.solver_list()))
     entries = [("task", "bench"), ("input_psnr", psnr(observed, gt))]
     for run in results:
         entries.append((f"psnr_{run['solver']}", run["psnr"]))

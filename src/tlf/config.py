@@ -2,6 +2,9 @@
 
 ``ExperimentConfig`` is the one schema: each field is a config key, its
 default is the key's default and the default's type is the key's parse type.
+A key that a library type reads (``SolverParams``, ``DerainWeights``,
+``FeasibilityModel``, ``WaveletForward``) takes that type's default and
+range rule; the type is built from the config, never restated here.
 """
 
 import math
@@ -9,13 +12,18 @@ from dataclasses import dataclass, fields
 
 from .denoise import DenoiserSpec
 from .errors import ConfigError
+from .feasibility import FeasibilityModel, check_hqs_keys
+from .problem import BASELINE_METHODS, SolverParams
 from .prox import canonical_p
+from .tasks import DerainWeights
+from .tensor import DEFAULT_LEVELS, WaveletForward
 
 TASKS = ("deblur", "inpaint", "derain", "bench")
-SOLVERS = ("pg", "apg", "mapg", "tlf", "dtlf")
+SOLVERS = BASELINE_METHODS + ("tlf", "dtlf")
 
 
-# Tuned once on the 64x64 synthetic deblur scene and frozen.
+# The literal defaults were tuned once on the 64x64 synthetic deblur scene
+# and frozen.
 @dataclass
 class ExperimentConfig:
     task: str = "deblur"
@@ -25,30 +33,30 @@ class ExperimentConfig:
     gt: str = ""
     out: str = "out"
     solver: str = "tlf"
-    max_iters: int = 500
-    rel_tol: float = 5e-4
+    max_iters: int = SolverParams.max_iters
+    rel_tol: float = SolverParams.rel_tol
     seed: int = 42
-    step: float = 0.0  # 0 -> 0.99 / L
-    alpha0: float = 0.9
-    gamma: float = 0.99
-    mu0: float = 1.0
-    beta: float = 0.5
-    bus_c: float = 1.5
+    step: float = SolverParams.step  # 0 -> 0.99 / L
+    alpha0: float = SolverParams.alpha0
+    gamma: float = SolverParams.gamma
+    mu0: float = SolverParams.mu0
+    beta: float = SolverParams.beta
+    bus_c: float = SolverParams.bus_c
     lambda1: float = 5e-4
     lambda2: float = 2e-3
     p: float = 1.0
     q: float = 1.0
-    nu1: float = 1e-3
-    nu2: float = 5e-3
-    rho1: float = 0.02
-    rho2: float = 0.05
-    recon_weight: float = 0.1
-    p1: float = 1.0
-    p2: float = 1.0
-    levels: int = 3
-    hqs_rho: float = 0.05
+    nu1: float = DerainWeights.nu1
+    nu2: float = DerainWeights.nu2
+    rho1: float = DerainWeights.rho1
+    rho2: float = DerainWeights.rho2
+    recon_weight: float = DerainWeights.recon_weight
+    p1: float = DerainWeights.p1
+    p2: float = DerainWeights.p2
+    levels: int = DEFAULT_LEVELS
+    hqs_rho: float = FeasibilityModel.hqs_rho
     hqs_iters: int = 10
-    cg_tol: float = 1e-8
+    cg_tol: float = FeasibilityModel.cg_tol
     denoiser: str = "tv-rof:0.002"
     denoiser_rain: str = "wavelet-shrink:0.01"
     external_denoiser: str = ""
@@ -89,32 +97,31 @@ class ExperimentConfig:
             raise ConfigError("input image path is required")
         if self.task == "inpaint" and not self.mask:
             raise ConfigError("inpaint task requires a mask")
-        if self.step < 0:
-            raise ConfigError(f"step must be >= 0 (0 means 0.99/L), got {self.step}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if not self.cg_tol > 0:
-            raise ConfigError(f"cg_tol must be > 0, got {self.cg_tol}")
         if not self.noise_percent >= 0:
             raise ConfigError(f"noise_percent must be >= 0, got {self.noise_percent}")
-        if self.levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if self.hqs_iters < 1:
-            raise ConfigError(f"hqs_iters must be >= 1, got {self.hqs_iters}")
-        if not self.hqs_rho > 0:
-            raise ConfigError(f"hqs_rho must be > 0, got {self.hqs_rho}")
-        # every task's regularization keys, whether or not this task reads them
-        for key in ("lambda1", "lambda2", "nu1", "nu2", "rho1", "rho2", "recon_weight"):
+        # every key's range rule, whether or not this task reads the key
+        self.solver_params()
+        self.derain_weights()
+        check_hqs_keys(self.hqs_rho, self.hqs_iters, self.cg_tol)
+        WaveletForward(self.levels)
+        for key in ("lambda1", "lambda2"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-        for key in ("p", "q", "p1", "p2"):
-            try:
-                canonical_p(getattr(self, key))
-            except ConfigError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-        # both specs, whether or not this task and solver read them
+        for key in ("p", "q"):
+            canonical_p(getattr(self, key), key)
         self.denoiser_spec()
         DenoiserSpec.parse(self.denoiser_rain)
+
+    def _build(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
+    def solver_params(self) -> SolverParams:
+        return self._build(SolverParams)
+
+    def derain_weights(self) -> DerainWeights:
+        return self._build(DerainWeights)
 
     def denoiser_spec(self) -> DenoiserSpec:
         """The DTLF (and derain background) denoiser: ``external_denoiser``

@@ -96,7 +96,7 @@ def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, ag
     return LatentStep(guard.x, params.gamma * alpha, mu, rec)
 
 
-def _latent_solve(prob, feas, denoiser, params, x0, ground_truth):
+def _latent_solve(prob, feas, denoiser, params, ground_truth):
     """TLF (no denoiser) or DTLF: pg_step and the feasibility solves feed latent_step."""
     t = params.resolve_step(prob.lipschitz)
     alpha, mu = params.alpha0, params.mu0
@@ -126,8 +126,7 @@ def _latent_solve(prob, feas, denoiser, params, x0, ground_truth):
 
     # Only iterate holds the start Point, so its arrays go once step 0 is done.
     last, trace = iterate(
-        Point(prob, prob.default_init() if x0 is None else x0), step, params,
-        objective, lambda p: p.image, ground_truth,
+        Point(prob, prob.default_init()), step, params, objective, lambda p: p.image, ground_truth,
     )
     return last.x, trace
 
@@ -136,11 +135,10 @@ def tlf_solve(
     prob: CompositeProblem,
     feas: FeasibilityModel,
     params: SolverParams,
-    x0: ImageTensor | None = None,
     ground_truth: ImageTensor | None = None,
 ):
     """Task-driven latent feasibility iteration (model-based constraint)."""
-    return _latent_solve(prob, feas, None, params, x0, ground_truth)
+    return _latent_solve(prob, feas, None, params, ground_truth)
 
 
 def dtlf_solve(
@@ -148,7 +146,6 @@ def dtlf_solve(
     feas: FeasibilityModel,
     denoiser: DenoiserSpec,
     params: SolverParams,
-    x0: ImageTensor | None = None,
     ground_truth: ImageTensor | None = None,
 ):
     """Data-driven TLF: denoiser-anchored feasibility under the BUS guard.
@@ -156,4 +153,4 @@ def dtlf_solve(
     A denoiser failure at iteration k is absorbed as a BUS rejection: the
     iteration falls back to the model-based aggregate and mu decays.
     """
-    return _latent_solve(prob, feas, denoiser, params, x0, ground_truth)
+    return _latent_solve(prob, feas, denoiser, params, ground_truth)

@@ -90,7 +90,7 @@ class Point:
 class SolverParams:
     """Iteration controls shared by every solver in the package."""
 
-    step: float | None = None  # None -> 0.99 / L
+    step: float = 0.0  # 0 -> 0.99 / L
     max_iters: int = 500
     rel_tol: float = 5e-4
     alpha0: float = 0.9
@@ -100,6 +100,8 @@ class SolverParams:
     bus_c: float = 1.5
 
     def __post_init__(self):
+        if self.step < 0:
+            raise ConfigError(f"step must be >= 0 (0 means 0.99/L), got {self.step}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if self.rel_tol < 0:
@@ -113,10 +115,10 @@ class SolverParams:
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must lie in (0, 1)")
         if self.bus_c <= 0:
-            raise ConfigError("C must be > 0")
+            raise ConfigError("bus_c must be > 0")
 
     def resolve_step(self, lipschitz: float) -> float:
-        t = 0.99 / lipschitz if self.step is None else self.step
+        t = self.step or 0.99 / lipschitz
         if not 0.0 < t * lipschitz < 1.0:
             raise ConfigError(
                 f"step {t} outside (0, 1/L) for L={lipschitz}"

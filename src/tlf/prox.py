@@ -20,12 +20,13 @@ from .tensor import ImageTensor
 SUPPORTED_P = (0.0, 0.5, 2.0 / 3.0, 1.0)
 
 
-def canonical_p(p) -> float:
-    """Snap an exponent to the supported set, rejecting anything else."""
+def canonical_p(p, key="p") -> float:
+    """Snap an exponent to the supported set, rejecting anything else; the
+    error names the exponent's config ``key``."""
     for cand in SUPPORTED_P:
         if abs(float(p) - cand) <= 1e-12:
             return cand
-    raise ConfigError(f"unsupported exponent p={p}; closed forms exist for {SUPPORTED_P}")
+    raise ConfigError(f"unsupported exponent {key}={p}; closed forms exist for {SUPPORTED_P}")
 
 
 @dataclass(frozen=True)

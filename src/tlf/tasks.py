@@ -19,11 +19,12 @@ import numpy as np
 from . import feasibility as _feas
 from .denoise import DenoiserSpec, denoise
 from .engine import _aggregate, latent_step
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .feasibility import FeasibilityModel
-from .prox import ProxSpec, lp_penalty, project_box01, prox_lp_array
+from .prox import ProxSpec, canonical_p, lp_penalty, project_box01, prox_lp_array
 from .problem import CompositeProblem, SolverParams, iterate
 from .tensor import (
+    DEFAULT_LEVELS,
     BlurKernel,
     CircularConvolution,
     Identity,
@@ -32,8 +33,6 @@ from .tensor import (
     WaveletForward,
     WaveletInverse,
 )
-
-DEFAULT_LEVELS = 3
 
 
 def _composite(observation, image_op, lipschitz, lambda1, p, lambda2, q, levels, **hqs):
@@ -67,8 +66,8 @@ def build_deblur(
     lambda2: float = 0.0,
     q: float = 1.0,
     levels: int = DEFAULT_LEVELS,
-    hqs_rho: float = 0.05,
-    hqs_iters: int = 5,
+    hqs_rho: float = FeasibilityModel.hqs_rho,
+    hqs_iters: int = FeasibilityModel.hqs_iters,
 ):
     """Wavelet-coefficient deblurring problem plus its TV feasibility model.
 
@@ -91,9 +90,9 @@ def build_inpaint(
     lambda2: float = 0.0,
     q: float = 1.0,
     levels: int = DEFAULT_LEVELS,
-    hqs_rho: float = 0.05,
-    hqs_iters: int = 5,
-    cg_tol: float = 1e-8,
+    hqs_rho: float = FeasibilityModel.hqs_rho,
+    hqs_iters: int = FeasibilityModel.hqs_iters,
+    cg_tol: float = FeasibilityModel.cg_tol,
 ):
     """Masked-observation problem; the mask+TV system is solved by CG.
     With W orthonormal and a 0/1 mask the Lipschitz constant is 1."""
@@ -122,11 +121,13 @@ class DerainWeights:
     recon_weight: float = 0.1  # observation coupling inside the MDUS guard
 
     def __post_init__(self):
-        for name in ("nu1", "nu2", "rho1", "rho2", "recon_weight"):
+        for name in ("nu1", "nu2", "rho2", "recon_weight"):
             if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        ProxSpec(self.p1, 0.0)
-        ProxSpec(self.p2, 0.0)
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.rho1 <= 0:  # also the background model's HQS penalty
+            raise ConfigError(f"rho1 must be > 0, got {self.rho1}")
+        canonical_p(self.p1, "p1")
+        canonical_p(self.p2, "p2")
 
 
 @dataclass(frozen=True)

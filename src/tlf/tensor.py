@@ -281,12 +281,15 @@ def diff_stencil(a, out, axis, forward):
     )
 
 
+DEFAULT_LEVELS = 3
+
+
 class WaveletForward(LinearOperator):
     """Orthonormal multi-level 2D Haar analysis, per channel."""
 
-    def __init__(self, levels=3):
+    def __init__(self, levels=DEFAULT_LEVELS):
         if levels < 1:
-            raise ConfigError("levels must be >= 1")
+            raise ConfigError(f"levels must be >= 1, got {levels}")
         self.levels = levels
 
     def _check(self, a):
@@ -307,7 +310,7 @@ class WaveletForward(LinearOperator):
 class WaveletInverse(LinearOperator):
     """Orthonormal multi-level 2D Haar synthesis (adjoint of the analysis)."""
 
-    def __init__(self, levels=3):
+    def __init__(self, levels=DEFAULT_LEVELS):
         self._fwd = WaveletForward(levels)
         self.levels = levels
 

@@ -50,8 +50,8 @@ class TestFlags:
                 value = {"solver": "pg", "denoiser": "median", "denoiser_rain": "median"}.get(key, "v")
             elif key in ("p", "q", "p1", "p2"):
                 value = 0.5  # an exponent must be one of 0, 1/2, 2/3, 1
-            else:
-                value = default + 1 if isinstance(default, int) else default + 0.5
+            else:  # in range: every key's range rule runs before the run starts
+                value = default + 1 if isinstance(default, int) else default / 2 or 0.5
             assert run_cli(["deblur", "--input", "x", flag, value]) == 0
             assert getattr(seen[-1], key) == value, key
 
@@ -62,6 +62,23 @@ class TestExitCodes:
             ["deblur", "--input", tmp_path / "nope.tlft", "--out", tmp_path / "o"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("max_iters", "0"), ("rel_tol", "-1"), ("alpha0", "1"), ("gamma", "1"),
+         ("mu0", "0"), ("beta", "1"), ("bus_c", "0")],
+        ids=["max_iters", "rel_tol", "alpha0", "gamma", "mu0", "beta", "bus_c"],
+    )
+    def test_solver_keys_checked_before_reading(self, tmp_path, capsys, key, value):
+        # a range error exits 1 before the missing input could exit 2
+        flag = "--" + key.replace("_", "-")
+        assert run_cli(["deblur", "--input", tmp_path / "nope.tlft", flag, value]) == 1
+        assert key in capsys.readouterr().err
+
+    def test_rho1_zero_checked_before_reading(self, tmp_path, capsys):
+        # rho1 is also the background model's HQS penalty, so 0 is out of range
+        assert run_cli(["derain", "--input", tmp_path / "nope.tlft", "--rho1", "0"]) == 1
+        assert "rho1 must be > 0" in capsys.readouterr().err
 
     def test_bad_solver(self, deblur_files):
         code = run_cli(
@@ -120,8 +137,8 @@ class TestExitCodes:
         def no_solve(*args, **kwargs):
             raise AssertionError("solve ran")
 
-        monkeypatch.setattr(cli, "_solve_composite", no_solve)
-        monkeypatch.setattr(cli, "derain_solve", no_solve)
+        for name in ("_solve_composite", "derain_solve", "derain_init", "build_deblur", "build_inpaint"):
+            monkeypatch.setattr(cli, name, no_solve)
         gt, mask, observed = inpaint_fixture(seed=5, size=8)
         write_tlft(tmp_path / "in.tlft", observed)
         write_tlft(tmp_path / "gt.tlft", gt)
@@ -135,6 +152,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("bench input" if task == "bench" else "--gt image") in err
         assert "smaller than 11x11 SSIM window" in err
+        if task == "bench":  # the input is bench's ground truth
+            return
+        # a ground truth of another shape than the input is caught as early
+        _, _, observed = inpaint_fixture(seed=5, size=16)
+        write_tlft(tmp_path / "in.tlft", observed)
+        write_tlft(tmp_path / "gt.tlft", inpaint_fixture(seed=5, size=32)[0])
+        assert run_cli([task, "--input", tmp_path / "in.tlft", *extra, "--out", out]) == 1
+        assert not out.exists()
+        assert "--gt image shape (1, 32, 32) differs from input (1, 16, 16)" in capsys.readouterr().err
 
     def test_inpaint_needs_mask(self, deblur_files):
         code = run_cli(

@@ -280,10 +280,14 @@ class TestConfig:
     @pytest.mark.parametrize("task", ["deblur", "derain"])
     def test_regularization_keys_checked_for_every_task(self, task):
         base = {"task": task, "input": "x"}
-        for key in ("lambda1", "lambda2", "nu1", "nu2", "rho1", "rho2", "recon_weight"):
+        for key in ("lambda1", "lambda2", "nu1", "nu2", "rho2", "recon_weight"):
             ExperimentConfig.from_mappings(base, {key: "0"})
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_mappings(base, {key: "-1e-9"})
+        # rho1 is also the background model's HQS penalty, so 0 is out of range
+        ExperimentConfig.from_mappings(base, {"rho1": "1e-9"})
+        with pytest.raises(ConfigError, match="rho1"):
+            ExperimentConfig.from_mappings(base, {"rho1": "0"})
         for key in ("p", "q", "p1", "p2"):
             ExperimentConfig.from_mappings(base, {key: "2/3"})
             with pytest.raises(ConfigError, match=key):

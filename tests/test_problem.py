@@ -178,6 +178,8 @@ class TestSolverParams:
             SolverParams(bus_c=0.0)
         with pytest.raises(ConfigError):
             SolverParams(mu0=0.0)
+        with pytest.raises(ConfigError):
+            SolverParams(step=-1.0)
 
     def test_default_step(self, rng):
         prob = make_deblur(rng)

@@ -6,7 +6,7 @@ import pytest
 
 from tlf.denoise import DenoiserSpec
 from tlf.engine import tlf_solve
-from tlf.errors import ShapeError, ValidationError
+from tlf.errors import ConfigError, ShapeError, ValidationError
 from tlf.feasibility import solve_G
 from tlf.fixtures import (
     deblur_fixture,
@@ -279,6 +279,11 @@ class TestDerainSolve:
         bad = replace(state, x_r=ImageTensor(state.x_r.data + 1.5))
         with pytest.raises(ValidationError):
             derain_solve(y, bad, derain_denoisers(), params)
+
+    @pytest.mark.parametrize("key,value", [("nu1", -1.0), ("recon_weight", -1.0), ("p2", 0.3), ("rho1", 0.0)])
+    def test_weights_name_the_bad_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            DerainWeights(**{key: value})
 
     def test_rain_estimate_is_boxed(self):
         y, _, _ = rain_fixture(seed=9, size=32)
