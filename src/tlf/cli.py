@@ -102,6 +102,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             raise ShapeError(f"--gt image shape {gt.data.shape} differs from input {observed.data.shape}")
     if cfg.task == "derain":
         params = cfg.solver_params()
+        params.resolve_step(1.0)  # the code step's L: W is orthonormal
         n_b = cfg.denoiser_spec()
         n_r = DenoiserSpec.parse(cfg.denoiser_rain)
         init = derain_init(observed, cfg.derain_weights(), params, levels=cfg.levels)
@@ -127,6 +128,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         if cfg.noise_percent > 0:
             observed = add_gaussian_noise(observed, cfg.noise_percent, cfg.seed)
         prob, feas = build_deblur(observed, kernel, *weights, **keywords)
+    cfg.solver_params().resolve_step(prob.lipschitz)  # before any solve, as L is now known
 
     def one(solver, out_dir):
         restored, trace = _solve_composite(cfg, solver, prob, feas, gt)

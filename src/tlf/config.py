@@ -97,7 +97,7 @@ class ExperimentConfig:
             raise ConfigError("input image path is required")
         if self.task == "inpaint" and not self.mask:
             raise ConfigError("inpaint task requires a mask")
-        if self.jobs < 1:
+        if not self.jobs >= 1:
             raise ConfigError("jobs must be >= 1")
         if not self.noise_percent >= 0:
             raise ConfigError(f"noise_percent must be >= 0, got {self.noise_percent}")
@@ -107,7 +107,7 @@ class ExperimentConfig:
         check_hqs_keys(self.hqs_rho, self.hqs_iters, self.cg_tol)
         WaveletForward(self.levels)
         for key in ("lambda1", "lambda2"):
-            if getattr(self, key) < 0:
+            if not getattr(self, key) >= 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         for key in ("p", "q"):
             canonical_p(getattr(self, key), key)

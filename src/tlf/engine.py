@@ -21,13 +21,11 @@ maps between the two spaces exactly.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import feasibility as _feas
 from .denoise import DenoiserSpec, denoise
 from .errors import DenoiserError
 from .feasibility import FeasibilityModel
-from .problem import CompositeProblem, Point, SolverParams, eval_F, iterate, mdus, pg_step
+from .problem import CompositeProblem, Point, SolverParams, aggregate, distance, eval_F, iterate, mdus, pg_step
 from .tensor import ImageTensor
 from .trace import BUS_ACCEPTED, BUS_FALLBACK, BUS_NA, MDUS_BRANCHES, TraceRecord
 
@@ -48,14 +46,6 @@ def bus(norm_xGmu: float, norm_xG: float, mu: float, beta: float, C: float) -> B
     return BusResult(False, beta * mu)
 
 
-def _aggregate(alpha: float, a: ImageTensor, b: ImageTensor) -> ImageTensor:
-    return ImageTensor(alpha * a.data + (1.0 - alpha) * b.data)
-
-
-def _dist(a: ImageTensor, b: ImageTensor) -> float:
-    return float(np.linalg.norm(a.data - b.data))
-
-
 class LatentStep(NamedTuple):
     x: object  # the point MDUS kept
     alpha: float  # the aggregation weight for the next step
@@ -63,20 +53,20 @@ class LatentStep(NamedTuple):
     record: TraceRecord
 
 
-def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, aggregate, *fallbacks):
-    """One guarded step of TLF, DTLF and derain from its candidate points.
+def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, *fallbacks):
+    """One guarded step of TLF, DTLF and derain from its candidate states.
 
-    ``anchored`` (None for TLF) proposes the anchored point x_Gmu; a
-    ``DenoiserError`` inside it is absorbed as a NaN norm, which BUS
-    rejects, so a failed denoiser costs the anchored point, never the
-    solve.  BUS chooses between x_Gmu and x_G, ``aggregate(alpha, latent,
-    x_F)`` builds v, and MDUS keeps the first of v, x_F and ``fallbacks``
-    with least ``objective``; alpha then decays by gamma, and mu by beta
-    when BUS rejects.  ``dist(point, x)`` measures the displacements the
-    record keeps.
+    Every candidate is a solve state of x's kind (a Point, or derain's
+    layer pair).  ``anchored`` (None for TLF) proposes the anchored state
+    x_Gmu; a ``DenoiserError`` inside it is absorbed as a NaN norm, which
+    BUS rejects, so a failed denoiser costs the anchored state, never the
+    solve.  BUS chooses between x_Gmu and x_G, ``problem.aggregate`` builds
+    v, and MDUS keeps the first of v, x_F and ``fallbacks`` with least
+    ``objective``; alpha then decays by gamma, and mu by beta when BUS
+    rejects.  The record keeps each candidate's ``problem.distance`` to x.
     """
     rec = TraceRecord(
-        k=k, F_value=math.nan, norm_xF_x=dist(x_F, x), norm_xG_x=dist(x_G, x),
+        k=k, F_value=math.nan, norm_xF_x=distance(x_F, x), norm_xG_x=distance(x_G, x),
         alpha=alpha, bus_branch=BUS_NA,
     )
     latent = x_G
@@ -85,7 +75,7 @@ def latent_step(k, x, x_F, x_G, anchored, mu, alpha, params, objective, dist, ag
             x_Gmu = anchored()
         except DenoiserError:
             x_Gmu = None
-        rec.norm_xGmu_x = math.nan if x_Gmu is None else dist(x_Gmu, x)
+        rec.norm_xGmu_x = math.nan if x_Gmu is None else distance(x_Gmu, x)
         rec.mu = mu
         accepted, mu = bus(rec.norm_xGmu_x, rec.norm_xG_x, mu, params.beta, params.bus_c)
         rec.bus_branch = BUS_ACCEPTED if accepted else BUS_FALLBACK
@@ -104,30 +94,25 @@ def _latent_solve(prob, feas, denoiser, params, ground_truth):
     def objective(v):
         return eval_F(prob, v)
 
-    def aggregate(alpha, latent, x_F):
-        return Point(prob, _aggregate(alpha, latent, x_F))
-
     def step(x, k):
         nonlocal alpha, mu
         img_x = x.image
 
         def anchored():
-            return prob.from_image(_feas.solve_G_mu(feas, img_x, denoise(denoiser, img_x, k), mu))
+            return Point(prob, prob.from_image(_feas.solve_G_mu(feas, img_x, denoise(denoiser, img_x, k), mu)))
 
         # MDUS evaluates both of its Points; the one it keeps carries its
         # synthesis and residual into the next step, the loser is dropped.
+        # x_G and x_Gmu are only measured, so their Points compute nothing.
         out = latent_step(
-            k, x, Point(prob, pg_step(prob, x, t)), prob.from_image(_feas.solve_G(feas, img_x)),
-            None if denoiser is None else anchored, mu, alpha, params,
-            objective, _dist, aggregate,
+            k, x, Point(prob, pg_step(prob, x, t)), Point(prob, prob.from_image(_feas.solve_G(feas, img_x))),
+            None if denoiser is None else anchored, mu, alpha, params, objective,
         )
         alpha, mu = out.alpha, out.mu
         return out.x, out.record
 
     # Only iterate holds the start Point, so its arrays go once step 0 is done.
-    last, trace = iterate(
-        Point(prob, prob.default_init()), step, params, objective, lambda p: p.image, ground_truth,
-    )
+    last, trace = iterate(Point(prob, prob.default_init()), step, params, objective, ground_truth)
     return last.x, trace
 
 

@@ -47,11 +47,11 @@ class FeasibilityModel:
     fft_base: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.tv_weight < 0:
+        if not self.tv_weight >= 0:
             raise ConfigError("tv_weight must be >= 0")
         ProxSpec(self.tv_q, 0.0)  # validates the exponent
         check_hqs_keys(self.hqs_rho, self.hqs_iters, self.cg_tol)
-        if self.cg_max_iters < 1:
+        if not self.cg_max_iters >= 1:
             raise ConfigError("cg_max_iters must be >= 1")
         object.__setattr__(self, "ktb", self.data_op._adjoint(self.observation.data))
         object.__setattr__(self, "fft_base", _fft_base(self))
@@ -61,7 +61,7 @@ def check_hqs_keys(hqs_rho, hqs_iters, cg_tol):
     """The range rules of the three HQS keys a config sets."""
     if not hqs_rho > 0:
         raise ConfigError(f"hqs_rho must be > 0, got {hqs_rho!r}")
-    if hqs_iters < 1:
+    if not hqs_iters >= 1:
         raise ConfigError(f"hqs_iters must be >= 1, got {hqs_iters!r}")
     if not (math.isfinite(cg_tol) and cg_tol > 0):
         raise ConfigError(f"cg_tol must be finite and > 0, got {cg_tol!r}")

@@ -2,6 +2,7 @@
 its proximal-gradient map, and the PG / APG / mAPG baseline solvers.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,7 +34,7 @@ class CompositeProblem:
     synthesis: LinearOperator
 
     def __post_init__(self):
-        if self.lipschitz <= 0:
+        if not self.lipschitz > 0:
             raise ConfigError(f"lipschitz must be > 0, got {self.lipschitz}")
 
     def to_image(self, x: ImageTensor) -> ImageTensor:
@@ -53,7 +54,9 @@ class Point:
     Points are per-solve state: the frozen problem holds none of it, since
     ``tlf bench --jobs`` threads share problems. ``gradient`` uses up the
     residual, so a point keeps it only until its PG step; ``data`` lets a
-    point stand where an ImageTensor's array is read.
+    point stand where an ImageTensor's array is read.  ``layers`` and
+    ``with_layers`` are the solve-state interface that ``distance``,
+    ``aggregate`` and ``relative_change`` work on.
     """
 
     __slots__ = ("prob", "x", "_image", "_residual", "F")
@@ -65,6 +68,14 @@ class Point:
     @property
     def data(self):
         return self.x.data
+
+    @property
+    def layers(self):
+        return (self.x.data,)
+
+    def with_layers(self, arrays):
+        (array,) = arrays
+        return Point(self.prob, ImageTensor(array))
 
     @property
     def image(self) -> ImageTensor:
@@ -100,21 +111,21 @@ class SolverParams:
     bus_c: float = 1.5
 
     def __post_init__(self):
-        if self.step < 0:
+        if not self.step >= 0:
             raise ConfigError(f"step must be >= 0 (0 means 0.99/L), got {self.step}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.rel_tol < 0:
+        if not self.rel_tol >= 0:
             raise ConfigError("rel_tol must be >= 0")
         if not 0.0 <= self.alpha0 < 1.0:
             raise ConfigError("alpha0 must lie in [0, 1)")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must lie in (0, 1)")
-        if self.mu0 <= 0:
+        if not self.mu0 > 0:
             raise ConfigError("mu0 must be > 0")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must lie in (0, 1)")
-        if self.bus_c <= 0:
+        if not self.bus_c > 0:
             raise ConfigError("bus_c must be > 0")
 
     def resolve_step(self, lipschitz: float) -> float:
@@ -177,33 +188,42 @@ def mdus(fn, v, *fallbacks) -> MdusResult:
     return MdusResult(x, f_x, chosen)
 
 
-def relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    num = float(np.linalg.norm(new - old))
-    den = float(np.linalg.norm(new))
+def distance(a, b) -> float:
+    """||a - b|| over the layers of two solve states: a Point's one array,
+    or derain's (background, rain) pair."""
+    return math.hypot(*(float(np.linalg.norm(u - v)) for u, v in zip(a.layers, b.layers)))
+
+
+def aggregate(alpha: float, latent, x_F):
+    """x_F with each layer replaced by alpha * latent + (1 - alpha) * x_F."""
+    return x_F.with_layers([alpha * a + (1.0 - alpha) * b for a, b in zip(latent.layers, x_F.layers)])
+
+
+def relative_change(new, old) -> float:
+    """||new - old|| / ||new|| over the layers; 0/0 is 0 and x/0 is inf."""
+    num = distance(new, old)
+    den = math.hypot(*(float(np.linalg.norm(u)) for u in new.layers))
     if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf
+        return 0.0 if num == 0.0 else math.inf
     return num / den
 
 
-def _tensor_change(new: ImageTensor, old: ImageTensor) -> float:
-    return relative_change(new.data, old.data)
-
-
-def iterate(x, step, params, objective, image, ground_truth=None, change=_tensor_change):
+def iterate(x, step, params, objective, ground_truth=None):
     """The outer loop of every solver in the package.
 
-    ``objective(x)`` is the trace's initial F.  ``step(x, k)`` returns the
-    next iterate and its TraceRecord.  The loop fills the record's
-    ``rel_err`` from ``change(new, old)`` and, given a ground truth, its
-    ``psnr`` from ``image(new)``; it stops once rel_err <= rel_tol or after
-    max_iters steps.  Returns the last iterate and the IterateTrace.
+    ``x`` is a solve state (a Point or a DerainState).  ``objective(x)`` is
+    the trace's initial F.  ``step(x, k)`` returns the next state and its
+    TraceRecord.  The loop fills the record's ``rel_err`` from
+    ``relative_change(new, old)`` and, given a ground truth, its ``psnr``
+    from ``new.image``; it stops once rel_err <= rel_tol or after max_iters
+    steps.  Returns the last state and the IterateTrace.
     """
     trace = IterateTrace(initial_F=objective(x))
     for k in range(params.max_iters):
         x_next, rec = step(x, k)
-        rec.rel_err = change(x_next, x)
+        rec.rel_err = relative_change(x_next, x)
         if ground_truth is not None:
-            rec.psnr = psnr(image(x_next), ground_truth)
+            rec.psnr = psnr(x_next.image, ground_truth)
         trace.append(rec)
         x = x_next
         if rec.rel_err <= params.rel_tol:
@@ -245,12 +265,10 @@ def solve_baseline(
         rec = TraceRecord(
             k=k,
             F_value=eval_F(prob, x_next),
-            norm_xF_x=float(np.linalg.norm(x_next.data - x.data)),
+            norm_xF_x=distance(x_next, x),
         )
         return x_next, rec
 
     # Only iterate holds the start Point, so its arrays go once step 0 is done.
-    last, trace = iterate(
-        Point(prob, x), step, params, lambda p: eval_F(prob, p), lambda p: p.image, ground_truth
-    )
+    last, trace = iterate(Point(prob, x), step, params, lambda p: eval_F(prob, p), ground_truth)
     return last.x, trace

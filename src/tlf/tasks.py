@@ -18,7 +18,7 @@ import numpy as np
 
 from . import feasibility as _feas
 from .denoise import DenoiserSpec, denoise
-from .engine import _aggregate, latent_step
+from .engine import latent_step
 from .errors import ConfigError, ValidationError
 from .feasibility import FeasibilityModel
 from .prox import ProxSpec, canonical_p, lp_penalty, project_box01, prox_lp_array
@@ -122,9 +122,9 @@ class DerainWeights:
 
     def __post_init__(self):
         for name in ("nu1", "nu2", "rho2", "recon_weight"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.rho1 <= 0:  # also the background model's HQS penalty
+        if not self.rho1 > 0:  # also the background model's HQS penalty
             raise ConfigError(f"rho1 must be > 0, got {self.rho1}")
         canonical_p(self.p1, "p1")
         canonical_p(self.p2, "p2")
@@ -142,6 +142,18 @@ class DerainState:
     mu: float  # the anchor weight of both layers' feasibility steps
     alpha: float
     levels: int = DEFAULT_LEVELS
+
+    @property
+    def layers(self):
+        return self.x_b.data, self.x_r.data
+
+    def with_layers(self, arrays):
+        x_b, x_r = arrays
+        return replace(self, x_b=ImageTensor(x_b), x_r=ImageTensor(x_r))
+
+    @property
+    def image(self) -> ImageTensor:
+        return self.x_b
 
 
 def _outside_box(*layers) -> bool:
@@ -226,23 +238,6 @@ def rain_layer_prox(resid, x_tilde, eta, rho, p):
     return prox_lp_array(center, ProxSpec(p, rho / (1.0 + eta)))
 
 
-def _layers_dist(a: DerainState, b: DerainState) -> float:
-    """Joint distance of the (background, rain) layers of two states."""
-    return math.hypot(
-        float(np.linalg.norm(a.x_b.data - b.x_b.data)),
-        float(np.linalg.norm(a.x_r.data - b.x_r.data)),
-    )
-
-
-def _layers_aggregate(alpha, latent: DerainState, x_F: DerainState) -> DerainState:
-    """x_F with each layer replaced by its alpha-aggregate with ``latent``."""
-    return replace(
-        x_F,
-        x_b=_aggregate(alpha, latent.x_b, x_F.x_b),
-        x_r=_aggregate(alpha, latent.x_r, x_F.x_r),
-    )
-
-
 def derain_step(
     y: ImageTensor,
     state: DerainState,
@@ -296,15 +291,9 @@ def derain_step(
 
     out = latent_step(
         k, state, x_F, x_G, anchored, state.mu, state.alpha, params,
-        lambda st: derain_objective(y, st, syntheses), _layers_dist, _layers_aggregate, codes,
+        lambda st: derain_objective(y, st, syntheses), codes,
     )
     return replace(out.x, mu=out.mu, alpha=out.alpha), out.record
-
-
-def _layers_change(new: DerainState, old: DerainState) -> float:
-    num = _layers_dist(new, old)
-    den = math.hypot(new.x_b.norm(), new.x_r.norm())
-    return num / den if den > 0 else (0.0 if num == 0.0 else math.inf)
 
 
 def derain_solve(
@@ -326,7 +315,5 @@ def derain_solve(
         lambda st, k: derain_step(y, st, denoisers, params, k),
         params,
         lambda st: derain_objective(y, st),
-        lambda st: st.x_b,
         ground_truth,
-        _layers_change,
     )

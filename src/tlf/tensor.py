@@ -288,7 +288,7 @@ class WaveletForward(LinearOperator):
     """Orthonormal multi-level 2D Haar analysis, per channel."""
 
     def __init__(self, levels=DEFAULT_LEVELS):
-        if levels < 1:
+        if not levels >= 1:
             raise ConfigError(f"levels must be >= 1, got {levels}")
         self.levels = levels
 

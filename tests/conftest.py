@@ -5,7 +5,7 @@ import pytest
 
 from tlf.feasibility import _cg_solve, _jacobi_diagonal, _normal_operator, solve_G, solve_G_mu
 from tlf.metrics import psnr
-from tlf.problem import relative_change
+from tlf.problem import Point, relative_change
 from tlf.prox import ProxSpec, lp_penalty, prox_lp_array
 from tlf.tensor import ImageTensor, LinearOperator, diff_stencil
 
@@ -195,7 +195,7 @@ def reference_apg(prob, monotone, params, ground_truth):
         rows.append((
             F(x_next),
             float(np.linalg.norm(x_next.data - x.data)),
-            relative_change(x_next.data, x.data),
+            relative_change(Point(prob, x_next), Point(prob, x)),
             psnr(prob.to_image(x_next), ground_truth),
         ))
         x_prev, x = x, x_next

@@ -80,6 +80,30 @@ class TestExitCodes:
         assert run_cli(["derain", "--input", tmp_path / "nope.tlft", "--rho1", "0"]) == 1
         assert "rho1 must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["deblur", "inpaint", "derain", "bench"])
+    def test_step_checked_before_any_solve(self, tmp_path, capsys, monkeypatch, task):
+        # step 5 is outside (0, 1/L) for every task here (L = 1 for the
+        # fixtures' kernel, the mask and derain's codes), so no solve starts
+        calls = []
+
+        def recorder(name, real):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return record
+
+        for name in ("solve_baseline", "tlf_solve", "dtlf_solve", "derain_init"):
+            monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
+        gt, mask, observed = inpaint_fixture(seed=5, size=16)
+        write_tlft(tmp_path / "in.tlft", gt if task == "bench" else observed)
+        write_mask(tmp_path / "mask.pgm", mask)
+        extra = {"inpaint": ["--mask", tmp_path / "mask.pgm"], "bench": ["--solver", "pg,tlf,dtlf"]}.get(task, [])
+        out = tmp_path / "o"
+        assert run_cli([task, "--input", tmp_path / "in.tlft", *extra, "--step", "5", "--out", out]) == 1
+        assert "step 5.0 outside (0, 1/L)" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_bad_solver(self, deblur_files):
         code = run_cli(
             [

@@ -6,6 +6,7 @@ import pytest
 
 from tlf.config import ExperimentConfig, parse_number, read_config_file
 from tlf.errors import ConfigError, FormatError, ShapeError, ValidationError
+from tlf.feasibility import FeasibilityModel
 from tlf.formats import (
     read_image,
     read_kernel,
@@ -17,7 +18,10 @@ from tlf.formats import (
 )
 from tlf.metrics import psnr, ssim
 from tlf.noise import add_gaussian_noise, gaussian_field
-from tlf.tensor import BlurKernel, ImageTensor
+from tlf.problem import CompositeProblem, SolverParams
+from tlf.prox import ProxSpec
+from tlf.tasks import DerainWeights
+from tlf.tensor import BlurKernel, Identity, ImageTensor, WaveletForward
 
 from conftest import random_image
 
@@ -243,7 +247,32 @@ class TestNoise:
         assert add_gaussian_noise(x, 0.0, seed=1) is x
 
 
+def _with_nan(owner, key):
+    """Build ``owner`` with ``key`` set to NaN, every other field valid."""
+    nan, obs = math.nan, ImageTensor(np.zeros((1, 8, 8)))
+    if owner is FeasibilityModel:
+        return FeasibilityModel(**{"data_op": Identity(), "observation": obs, "tv_weight": 0.1, key: nan})
+    if owner is CompositeProblem:
+        return CompositeProblem(Identity(), obs, ProxSpec(1.0, 0.0), nan, Identity())
+    if owner is ExperimentConfig:  # a config built without parse_number
+        return ExperimentConfig(input="x", **{key: nan}).validate()
+    return owner(**{key: nan})
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "owner,key",
+        [(SolverParams, key) for key in ("step", "max_iters", "rel_tol", "mu0", "bus_c")]
+        + [(DerainWeights, key) for key in ("nu1", "nu2", "rho1", "rho2", "recon_weight")]
+        + [(FeasibilityModel, key) for key in ("tv_weight", "hqs_iters", "cg_max_iters")]
+        + [(CompositeProblem, "lipschitz"), (WaveletForward, "levels")]
+        + [(ExperimentConfig, key) for key in ("lambda1", "lambda2", "jobs")],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_nan_fails_every_range_rule(self, owner, key):
+        with pytest.raises(ConfigError, match=key):
+            _with_nan(owner, key)
+
     def test_parse_fraction(self):
         assert parse_number("p", "2/3") == pytest.approx(2.0 / 3.0)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from tlf.problem import (
     CompositeProblem,
     Point,
     SolverParams,
+    aggregate,
+    distance,
     eval_F,
     pg_step,
+    relative_change,
     solve_baseline,
 )
 from tlf.prox import ProxSpec
-from tlf.tasks import build_deblur
+from tlf.tasks import DerainState, DerainWeights, build_deblur
 from tlf.tensor import BlurKernel, CircularConvolution, Identity, ImageTensor
 
 from conftest import estimate_lipschitz, random_image, reference_apg
@@ -185,3 +190,50 @@ class TestSolverParams:
         prob = make_deblur(rng)
         t = SolverParams().resolve_step(prob.lipschitz)
         assert 0.0 < t * prob.lipschitz < 1.0
+
+
+def derain_state(rng, x_b, x_r, mu=0.3, alpha=0.6):
+    codes = [ImageTensor(rng.standard_normal((1, 8, 8))) for _ in range(2)]
+    return DerainState(
+        x_b=ImageTensor(x_b), x_r=ImageTensor(x_r), beta=codes[0], gamma=codes[1],
+        weights=DerainWeights(nu1=2e-3), mu=mu, alpha=alpha, levels=2,
+    )
+
+
+class TestSolveStates:
+    """distance, aggregate and relative_change over Points and derain's layer pairs."""
+
+    def test_relative_change_edge_rules(self, rng):
+        prob = make_deblur(rng, h=8, w=8)
+        zero, ones = np.zeros((1, 8, 8)), np.ones((1, 8, 8))
+        z, o = Point(prob, ImageTensor(zero)), Point(prob, ImageTensor(ones))
+        assert relative_change(z, Point(prob, ImageTensor(zero))) == 0.0
+        assert relative_change(z, o) == math.inf
+        zz = derain_state(rng, zero, zero)
+        assert relative_change(zz, derain_state(rng, zero, zero)) == 0.0
+        assert relative_change(zz, derain_state(rng, zero, ones)) == math.inf
+
+    def test_point_distance_is_the_array_norm(self, rng):
+        prob = make_deblur(rng, h=8, w=8)
+        a, b = rng.standard_normal((2, 1, 8, 8))
+        assert distance(Point(prob, ImageTensor(a)), Point(prob, ImageTensor(b))) == float(np.linalg.norm(a - b))
+
+    def test_layer_distance_joins_the_layer_norms(self, rng):
+        a_b, a_r, b_b, b_r = rng.uniform(0.0, 1.0, (4, 1, 8, 8))
+        got = distance(derain_state(rng, a_b, a_r), derain_state(rng, b_b, b_r))
+        assert got == math.hypot(np.linalg.norm(a_b - b_b), np.linalg.norm(a_r - b_r))
+
+    def test_aggregate_keeps_x_F_state(self, rng):
+        prob = make_deblur(rng, h=8, w=8)
+        a, b = rng.standard_normal((2, 1, 8, 8))
+        v = aggregate(0.25, Point(prob, ImageTensor(a)), Point(prob, ImageTensor(b)))
+        assert type(v) is Point and v.prob is prob
+        np.testing.assert_array_equal(v.data, 0.25 * a + 0.75 * b)
+        latent = derain_state(rng, *rng.uniform(0.0, 1.0, (2, 1, 8, 8)), mu=0.9, alpha=0.1)
+        x_F = derain_state(rng, *rng.uniform(0.0, 1.0, (2, 1, 8, 8)))
+        v = aggregate(0.25, latent, x_F)
+        assert type(v) is DerainState
+        for name in ("beta", "gamma", "mu", "alpha", "levels", "weights"):
+            assert getattr(v, name) is getattr(x_F, name)
+        np.testing.assert_array_equal(v.x_b.data, 0.25 * latent.x_b.data + 0.75 * x_F.x_b.data)
+        np.testing.assert_array_equal(v.x_r.data, 0.25 * latent.x_r.data + 0.75 * x_F.x_r.data)
