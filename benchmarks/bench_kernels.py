@@ -76,7 +76,6 @@ def main():
         ("haar fwd 3-level", lambda: K.haar2_forward(img, 3)),
         ("haar inv 3-level", lambda: K.haar2_inverse(img, 3)),
         ("lcg gaussian", lambda: K.lcg_gaussian(7, n * n)),
-        ("recursive smooth", lambda: K.smooth_recursive(img, 0.6)),
         ("stencil diff w fwd", lambda: subtract(w_fwd)),
         ("stencil diff w bwd", lambda: subtract(w_bwd)),
         ("stencil diff h fwd", lambda: subtract(h_fwd)),

@@ -1,7 +1,7 @@
 """Hot numeric kernels in numpy, one implementation per operation.
 
-The image kernels (Haar analysis and synthesis, recursive smoothing) act on
-the last two axes, so one call covers a whole ``(C, H, W)`` channel stack.
+The image kernels (Haar analysis and synthesis) act on the last two axes, so
+one call covers a whole ``(C, H, W)`` channel stack.
 """
 
 import math
@@ -126,22 +126,3 @@ def lcg_gaussian(seed, n):
             out[i] = r * math.sin(ang)
             i += 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# forward-backward first-order recursive smoothing along both image axes
-# ---------------------------------------------------------------------------
-
-def smooth_recursive(x, a):
-    y = x.astype(np.float64, copy=True)
-    h, w = y.shape[-2:]
-    b = 1.0 - a
-    for j in range(1, w):
-        y[..., :, j] = b * y[..., :, j] + a * y[..., :, j - 1]
-    for j in range(w - 2, -1, -1):
-        y[..., :, j] = b * y[..., :, j] + a * y[..., :, j + 1]
-    for i in range(1, h):
-        y[..., i, :] = b * y[..., i, :] + a * y[..., i - 1, :]
-    for i in range(h - 2, -1, -1):
-        y[..., i, :] = b * y[..., i, :] + a * y[..., i + 1, :]
-    return y

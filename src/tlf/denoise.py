@@ -1,8 +1,9 @@
 """Designed denoising modules plus the external-process denoiser protocol.
 
-The in-process kinds stand in for trained networks: tv-rof (the package's
-own HQS), recursive-filter, gaussian, median, wavelet-shrink.  ``external``
-shells out to any executable speaking the TLF1 wire protocol:
+The designed kinds stand in for trained networks: tv-rof (the package's
+own HQS), gaussian, median and wavelet-shrink, one function each in
+``_DESIGNED``.  ``external`` shells out to any executable speaking the TLF1
+wire protocol:
 
     request:  b"TLF1" | u32-LE height | u32-LE width | u32-LE channels
               | f32-LE hint | h*w*c float32-LE values (row-major, planar)
@@ -19,16 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import smooth_recursive
 from .errors import ConfigError, DenoiserError
 from .feasibility import FeasibilityModel, solve_G
 from .prox import ProxSpec, prox_lp
-from .tensor import BlurKernel, CircularConvolution, Identity, ImageTensor, WaveletForward, WaveletInverse
+from .tensor import (
+    DEFAULT_LEVELS, BlurKernel, CircularConvolution, Identity, ImageTensor, WaveletForward, WaveletInverse,
+)
 
 PROTOCOL_MAGIC = b"TLF1"
 DEFAULT_TIMEOUT = 30.0
-
-KINDS = ("tv-rof", "recursive-filter", "gaussian", "median", "wavelet-shrink", "external")
 
 _TV_ROF_ITERS = 10
 
@@ -36,20 +36,17 @@ _TV_ROF_ITERS = 10
 @dataclass(frozen=True)
 class DenoiserSpec:
     kind: str
-    strength: float = 0.0
-    schedule: tuple | None = None  # per-outer-iteration strengths
+    strength: float | tuple = 0.0  # or per-outer-iteration strengths; the last one holds after
     command: str = ""
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown denoiser kind {self.kind!r}")
-        if not 0 <= self.strength < math.inf:
+        strengths = self.strength if isinstance(self.strength, tuple) else (self.strength,)
+        if not strengths:
+            raise ConfigError("strength tuple must be non-empty")
+        if not all(0 <= s < math.inf for s in strengths):
             raise ConfigError("strength must be finite and >= 0")
-        if self.schedule is not None:
-            if len(self.schedule) == 0:
-                raise ConfigError("schedule must be non-empty when given")
-            if not all(0 <= s < math.inf for s in self.schedule):
-                raise ConfigError("schedule strengths must be finite and >= 0")
         if self.kind == "external":
             try:
                 argv = shlex.split(self.command)
@@ -59,25 +56,23 @@ class DenoiserSpec:
                 raise ConfigError("external denoiser needs a command")
 
     def strength_at(self, iter_index: int) -> float:
-        if self.schedule is None:
+        if not isinstance(self.strength, tuple):
             return self.strength
-        return float(self.schedule[min(iter_index, len(self.schedule) - 1)])
+        return float(self.strength[min(iter_index, len(self.strength) - 1)])
 
     @classmethod
     def parse(cls, text: str) -> "DenoiserSpec":
-        """Parse 'kind' or 'kind:strength' or 'kind:s0,s1,...' strings."""
-        kind, _, rest = text.partition(":")
+        """Parse 'kind', 'kind:strength' or 'kind:s0,s1,...'; after a colon
+        every comma-separated token must be a number."""
+        kind, colon, rest = text.partition(":")
         kind = kind.strip()
-        if not rest:
+        if not colon:
             return cls(kind=kind)
         try:
-            values = [float(tok) for tok in rest.split(",") if tok.strip()]
-            strength = values[0]  # IndexError: no strength after the colon
-        except (ValueError, IndexError) as exc:
+            values = tuple(float(tok) for tok in rest.split(","))
+        except ValueError as exc:
             raise ConfigError(f"bad denoiser strength in {text!r}") from exc
-        if len(values) == 1:
-            return cls(kind=kind, strength=strength)
-        return cls(kind=kind, strength=strength, schedule=tuple(values))
+        return cls(kind=kind, strength=values[0] if len(values) == 1 else values)
 
 
 def _tv_rof(x: ImageTensor, weight: float) -> ImageTensor:
@@ -113,13 +108,17 @@ def _median(x: ImageTensor, strength: float) -> ImageTensor:
 
 
 def _wavelet_shrink(x: ImageTensor, threshold: float) -> ImageTensor:
-    # up to 3 levels, as many as both sides halve evenly; a side that is odd
-    # keeps 1 level and fails the transform's size check
+    # up to DEFAULT_LEVELS levels, as many as both sides halve evenly; a side
+    # that is odd keeps 1 level and fails the transform's size check
     sides = x.height | x.width
-    levels = min(3, max(1, (sides & -sides).bit_length() - 1))
+    levels = min(DEFAULT_LEVELS, max(1, (sides & -sides).bit_length() - 1))
     coeffs = WaveletForward(levels).apply(x)
     shrunk = prox_lp(coeffs, ProxSpec(1.0, threshold))
     return WaveletInverse(levels).apply(shrunk)
+
+
+_DESIGNED = {"tv-rof": _tv_rof, "gaussian": _gaussian_blur, "median": _median, "wavelet-shrink": _wavelet_shrink}
+KINDS = (*_DESIGNED, "external")
 
 
 def denoise(spec: DenoiserSpec, x: ImageTensor, iter_index: int = 0) -> ImageTensor:
@@ -131,16 +130,7 @@ def denoise(spec: DenoiserSpec, x: ImageTensor, iter_index: int = 0) -> ImageTen
         return x
     if spec.kind == "external":
         return external_roundtrip(spec.command, x, hint=strength)
-    if spec.kind == "tv-rof":
-        return _tv_rof(x, strength)
-    if spec.kind == "recursive-filter":
-        a = float(np.exp(-1.0 / strength))
-        return ImageTensor(smooth_recursive(x.data, a))
-    if spec.kind == "gaussian":
-        return _gaussian_blur(x, strength)
-    if spec.kind == "median":
-        return _median(x, strength)
-    return _wavelet_shrink(x, strength)
+    return _DESIGNED[spec.kind](x, strength)
 
 
 def _encode_request(x: ImageTensor, hint: float) -> bytes:

@@ -98,9 +98,7 @@ def deblur_denoiser() -> DenoiserSpec:
     envelope (the guard falls back to the model aggregate and decays mu);
     afterwards a mild shrink anchors the feasibility solve.
     """
-    return DenoiserSpec(
-        kind="wavelet-shrink", strength=10.0, schedule=(10.0,) * 10 + (0.02,)
-    )
+    return DenoiserSpec(kind="wavelet-shrink", strength=(10.0,) * 10 + (0.02,))
 
 
 def inpaint_params(max_iters=300, rel_tol=5e-4) -> SolverParams:

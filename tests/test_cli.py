@@ -6,7 +6,8 @@ import pytest
 
 from tlf import cli
 from tlf.cli import build_parser, main
-from tlf.config import DEFAULTS
+from tlf.config import DEFAULTS, SOLVERS
+from tlf.denoise import KINDS
 from tlf.fixtures import deblur_fixture, inpaint_fixture, rain_fixture
 from tlf.formats import read_image, write_kernel, write_mask, write_tlft
 
@@ -55,6 +56,13 @@ class TestFlags:
             assert run_cli(["deblur", "--input", "x", flag, value]) == 0
             assert getattr(seen[-1], key) == value, key
 
+    def test_help_names_every_solver_and_kind(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["deblur", "--help"])
+        text = "".join(capsys.readouterr().out.split())  # argparse may wrap at a hyphen
+        assert "|".join(SOLVERS) in text
+        assert text.count("|".join(KINDS) + "[:strength[,s1,...]]") == 2  # --denoiser, --denoiser-rain
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
@@ -74,6 +82,10 @@ class TestExitCodes:
         flag = "--" + key.replace("_", "-")
         assert run_cli(["deblur", "--input", tmp_path / "nope.tlft", flag, value]) == 1
         assert key in capsys.readouterr().err
+
+    def test_empty_denoiser_strength_checked_before_reading(self, tmp_path, capsys):
+        assert run_cli(["deblur", "--input", tmp_path / "nope.tlft", "--denoiser", "tv-rof:"]) == 1
+        assert "bad denoiser strength" in capsys.readouterr().err
 
     def test_rho1_zero_checked_before_reading(self, tmp_path, capsys):
         # rho1 is also the background model's HQS penalty, so 0 is out of range

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from tlf.denoise import DenoiserSpec, denoise, external_roundtrip
+from tlf.denoise import KINDS, DenoiserSpec, denoise, external_roundtrip
 from tlf.errors import ConfigError, DenoiserError, ShapeError
 from tlf.prox import ProxSpec, prox_lp
 from tlf.tensor import ImageTensor, WaveletForward, WaveletInverse
 
 from conftest import random_image, roll_diff, write_double
 
-ALL_KINDS = ["tv-rof", "recursive-filter", "gaussian", "median", "wavelet-shrink"]
+ALL_KINDS = ["tv-rof", "gaussian", "median", "wavelet-shrink"]
 
 
 def tv_energy(img):
@@ -31,17 +31,26 @@ class TestSpec:
         with pytest.raises(ConfigError):
             DenoiserSpec(kind="external", command=command)
 
+    @pytest.mark.parametrize("strength", [(), (1.0, -1.0), (1.0, float("nan"))], ids=str)
+    def test_bad_strength_rejected(self, strength):
+        with pytest.raises(ConfigError):
+            DenoiserSpec(kind="tv-rof", strength=strength)
+
     def test_parse_single(self):
         spec = DenoiserSpec.parse("tv-rof:0.05")
         assert spec.kind == "tv-rof" and spec.strength == 0.05
 
-    @pytest.mark.parametrize("text", ["tv-rof:abc", "tv-rof:nan", "gaussian:1.0,inf", "tv-rof:,", "tv-rof: "])
+    @pytest.mark.parametrize("text", [
+        "tv-rof:abc", "tv-rof:nan", "gaussian:1.0,inf", "tv-rof:,", "tv-rof: ",
+        "tv-rof:", "gaussian:1,", "gaussian:,1",
+    ])
     def test_parse_bad_strength(self, text):
         with pytest.raises(ConfigError):
             DenoiserSpec.parse(text)
 
     def test_parse_schedule_clamps(self):
         spec = DenoiserSpec.parse("gaussian:1.0,0.5,0.25")
+        assert spec.strength == (1.0, 0.5, 0.25)
         assert spec.strength_at(0) == 1.0
         assert spec.strength_at(2) == 0.25
         assert spec.strength_at(99) == 0.25
@@ -55,8 +64,7 @@ class TestDesignedDenoisers:
         assert np.array_equal(out.data, x.data)
 
     @pytest.mark.parametrize("kind,strength", [
-        ("tv-rof", 0.05), ("recursive-filter", 1.0), ("gaussian", 1.0),
-        ("median", 1.0), ("wavelet-shrink", 0.05),
+        ("tv-rof", 0.05), ("gaussian", 1.0), ("median", 1.0), ("wavelet-shrink", 0.05),
     ])
     def test_shape_preserving_and_finite(self, rng, kind, strength):
         x = random_image(rng, 16, 16, c=3)
@@ -65,12 +73,20 @@ class TestDesignedDenoisers:
         assert np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("kind,strength", [
-        ("gaussian", 1.5), ("recursive-filter", 2.0), ("median", 1.0), ("tv-rof", 0.1),
+        ("gaussian", 1.5), ("median", 1.0), ("tv-rof", 0.1),
     ])
     def test_constant_preserved(self, kind, strength):
         x = ImageTensor(np.full((1, 16, 16), 0.6))
         out = denoise(DenoiserSpec(kind=kind, strength=strength), x, 0)
         assert np.abs(out.data - 0.6).max() <= 1e-10
+
+    def test_each_kind_reaches_its_own_filter(self, rng):
+        assert KINDS == ("tv-rof", "gaussian", "median", "wavelet-shrink", "external")
+        x = random_image(rng, 16, 16)
+        outs = [denoise(DenoiserSpec(kind=kind, strength=0.5), x, 0).data for kind in ALL_KINDS]
+        for i in range(len(outs)):
+            for j in range(i):
+                assert not np.array_equal(outs[i], outs[j]), (ALL_KINDS[i], ALL_KINDS[j])
 
     def test_tv_rof_reduces_tv_energy(self, rng):
         clean = ImageTensor(np.full((1, 16, 16), 0.5))

@@ -15,7 +15,6 @@ def test_stack_calls_equal_per_channel_calls(rng):
     kernels = (
         lambda a: K.haar2_forward(a, 3),
         lambda a: K.haar2_inverse(a, 3),
-        lambda a: K.smooth_recursive(a, 0.6),
     )
     for kernel in kernels:
         want = np.stack([kernel(x[c]) for c in range(3)])
