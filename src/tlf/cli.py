@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULTS, SOLVERS, TASKS, ExperimentConfig, format_defaults, read_config_file
-from .denoise import KINDS, DenoiserSpec
+from .denoise import DESIGNED_KINDS, DenoiserSpec
 from .engine import dtlf_solve, tlf_solve
 from .errors import ConfigError, DenoiserError, FormatError, NumericalError, ShapeError, TlfError
 from .formats import read_image, read_kernel, read_mask, write_image, write_tlft
@@ -31,7 +31,7 @@ EXIT_NUMERICAL = 3
 
 # Every config key but task is a flag: --key-name, except for these.
 _FLAG_NAMES = {"noise_percent": "--noise"}
-_DENOISER_HELP = "|".join(KINDS) + "[:strength[,s1,...]]"
+_DENOISER_HELP = "|".join(DESIGNED_KINDS) + "[:strength[,s1,...]]"
 _FLAG_HELP = {
     "solver": "|".join(SOLVERS) + " (bench: comma list)",
     "denoiser": _DENOISER_HELP,

@@ -13,6 +13,7 @@ One request per invocation; streams close after the reply.
 """
 
 import math
+import numbers
 import shlex
 import struct
 import subprocess
@@ -45,6 +46,8 @@ class DenoiserSpec:
         strengths = self.strength if isinstance(self.strength, tuple) else (self.strength,)
         if not strengths:
             raise ConfigError("strength tuple must be non-empty")
+        if not all(isinstance(s, numbers.Real) for s in strengths):
+            raise ConfigError(f"strength must be a number or a tuple of numbers, got {self.strength!r}")
         if not all(0 <= s < math.inf for s in strengths):
             raise ConfigError("strength must be finite and >= 0")
         if self.kind == "external":
@@ -62,10 +65,12 @@ class DenoiserSpec:
 
     @classmethod
     def parse(cls, text: str) -> "DenoiserSpec":
-        """Parse 'kind', 'kind:strength' or 'kind:s0,s1,...'; after a colon
-        every comma-separated token must be a number."""
+        """Parse 'kind', 'kind:strength' or 'kind:s0,s1,...' for a designed
+        kind; after a colon every comma-separated token must be a number."""
         kind, colon, rest = text.partition(":")
         kind = kind.strip()
+        if kind == "external":  # its command cannot be written in this form
+            raise ConfigError("the external denoiser is set with --external-denoiser, not as a denoiser kind")
         if not colon:
             return cls(kind=kind)
         try:
@@ -118,7 +123,8 @@ def _wavelet_shrink(x: ImageTensor, threshold: float) -> ImageTensor:
 
 
 _DESIGNED = {"tv-rof": _tv_rof, "gaussian": _gaussian_blur, "median": _median, "wavelet-shrink": _wavelet_shrink}
-KINDS = (*_DESIGNED, "external")
+DESIGNED_KINDS = tuple(_DESIGNED)
+KINDS = (*DESIGNED_KINDS, "external")
 
 
 def denoise(spec: DenoiserSpec, x: ImageTensor, iter_index: int = 0) -> ImageTensor:

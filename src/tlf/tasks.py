@@ -12,7 +12,8 @@ guard over the stacked layers.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +143,9 @@ class DerainState:
     mu: float  # the anchor weight of both layers' feasibility steps
     alpha: float
     levels: int = DEFAULT_LEVELS
+    # derain_step's layer-side work on these very layers, which a step that
+    # keeps the layers hands to the next one
+    _layer_work: "_LayerWork | None" = field(default=None, compare=False, repr=False)
 
     @property
     def layers(self):
@@ -238,6 +242,54 @@ def rain_layer_prox(resid, x_tilde, eta, rho, p):
     return prox_lp_array(center, ProxSpec(p, rho / (1.0 + eta)))
 
 
+class _LayerWork(NamedTuple):
+    """What derain_step computes from the layers alone, for one key.
+
+    The key is y, x_b and x_r by identity (ImageTensors are never changed in
+    place) plus the weights and levels by value.  ``anchors`` is None until
+    both layers have been denoised, then (request, (xt_b, xt_r)), the request
+    being both DenoiserSpecs and both strengths; ``anchored`` is then
+    (mu, the projected anchored pair) for those anchors.
+    """
+
+    y: ImageTensor
+    x_b: ImageTensor
+    x_r: ImageTensor
+    weights: DerainWeights
+    levels: int
+    analyses: tuple  # (W x_b, W x_r) for the code step
+    bg_model: FeasibilityModel
+    resid_r: np.ndarray  # y - x_b
+    x_G: tuple  # the projected anchor-free layer pair
+    anchors: tuple | None = None
+    anchored: tuple | None = None
+
+    def fits(self, y, state):
+        return (
+            self.y is y and self.x_b is state.x_b and self.x_r is state.x_r
+            and self.weights == state.weights and self.levels == state.levels
+        )
+
+
+def _layer_work(y, state):
+    """The state's own layer-side work if its key fits, else a fresh one."""
+    work = state._layer_work
+    if work is not None and work.fits(y, state):
+        return work
+    w = state.weights
+    ana = WaveletForward(state.levels)
+    bg_model = _background_model(y, state.x_r, w)
+    resid_r = y.data - state.x_b.data
+    x_G = (
+        project_box01(_feas.solve_G(bg_model, state.x_b)),
+        project_box01(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
+    )
+    return _LayerWork(
+        y, state.x_b, state.x_r, w, state.levels,
+        (ana.apply(state.x_b), ana.apply(state.x_r)), bg_model, resid_r, x_G,
+    )
+
+
 def derain_step(
     y: ImageTensor,
     state: DerainState,
@@ -250,20 +302,25 @@ def derain_step(
     Both layers' anchored steps share the weight mu, which BUS decays on
     rejection; MDUS's last fallback keeps the layers and moves only the
     codes.  Returns the next state and the trace record of the iteration.
+
+    Everything computed from the layers alone (their analyses, x_G, the
+    denoised layers per denoiser request and the anchored pair per mu) is
+    kept on a returned state whose layers are the input's own objects, and a
+    step on it reuses that work instead of recomputing it.
     """
     w = state.weights
-    ana = WaveletForward(state.levels)
     syn = WaveletInverse(state.levels)
     n_b, n_r = denoisers
     s = params.resolve_step(1.0)
+    work = _layer_work(y, state)
 
     # (a) proximal-gradient update of the sparse codes (orthonormal W => L=1)
-    def code_step(c, layer, p, nu):
-        grad = c.data - ana.apply(layer).data
+    def code_step(c, analysis, p, nu):
+        grad = c.data - analysis.data
         return ImageTensor(prox_lp_array(c.data - s * grad, ProxSpec(p, s * nu)))
 
-    beta = code_step(state.beta, state.x_b, w.p1, w.nu1)
-    gamma = code_step(state.gamma, state.x_r, w.p2, w.nu2)
+    beta = code_step(state.beta, work.analyses[0], w.p1, w.nu1)
+    gamma = code_step(state.gamma, work.analyses[1], w.p2, w.nu2)
     codes = replace(state, beta=beta, gamma=gamma)
 
     # (b) objective-side layer updates: project the synthesized codes. Every
@@ -271,29 +328,34 @@ def derain_step(
     syntheses = syn.apply(beta), syn.apply(gamma)
     x_F = replace(codes, x_b=project_box01(syntheses[0]), x_r=project_box01(syntheses[1]))
 
-    # (c)-(e) feasibility-side updates, anchored and anchor-free
-    bg_model = _background_model(y, state.x_r, w)
-    resid_r = y.data - state.x_b.data
-    x_G = replace(
-        codes,
-        x_b=project_box01(_feas.solve_G(bg_model, state.x_b)),
-        x_r=project_box01(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
-    )
+    # (c)-(e) feasibility-side updates, anchor-free and anchored; a failed
+    # denoiser raises out of anchored() and leaves nothing in ``work``
+    x_G = replace(codes, x_b=work.x_G[0], x_r=work.x_G[1])
+    request = (n_b, n_r, n_b.strength_at(k), n_r.strength_at(k))
 
     def anchored():
-        xt_b = denoise(n_b, state.x_b, k)
-        xt_r = denoise(n_r, state.x_r, k)
-        return replace(
-            codes,
-            x_b=project_box01(_feas.solve_G_mu(bg_model, state.x_b, xt_b, state.mu)),
-            x_r=project_box01(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.mu, w.rho2, w.p2))),
-        )
+        nonlocal work
+        if work.anchors is None or work.anchors[0] != request:
+            anchors = denoise(n_b, state.x_b, k), denoise(n_r, state.x_r, k)
+            work = work._replace(anchors=(request, anchors), anchored=None)
+        if work.anchored is None or work.anchored[0] != state.mu:
+            xt_b, xt_r = work.anchors[1]
+            pair = (
+                project_box01(_feas.solve_G_mu(work.bg_model, state.x_b, xt_b, state.mu)),
+                project_box01(ImageTensor(rain_layer_prox(work.resid_r, xt_r.data, state.mu, w.rho2, w.p2))),
+            )
+            work = work._replace(anchored=(state.mu, pair))
+        x_b, x_r = work.anchored[1]
+        return replace(codes, x_b=x_b, x_r=x_r)
 
     out = latent_step(
         k, state, x_F, x_G, anchored, state.mu, state.alpha, params,
         lambda st: derain_objective(y, st, syntheses), codes,
     )
-    return replace(out.x, mu=out.mu, alpha=out.alpha), out.record
+    # only a state on the same layer objects can reuse the work; any other
+    # drops it, so a state holds no arrays of earlier layers
+    kept = out.x.x_b is state.x_b and out.x.x_r is state.x_r
+    return replace(out.x, mu=out.mu, alpha=out.alpha, _layer_work=work if kept else None), out.record
 
 
 def derain_solve(

@@ -7,7 +7,7 @@ import pytest
 from tlf import cli
 from tlf.cli import build_parser, main
 from tlf.config import DEFAULTS, SOLVERS
-from tlf.denoise import KINDS
+from tlf.denoise import DESIGNED_KINDS, KINDS
 from tlf.fixtures import deblur_fixture, inpaint_fixture, rain_fixture
 from tlf.formats import read_image, write_kernel, write_mask, write_tlft
 
@@ -61,7 +61,8 @@ class TestFlags:
             build_parser().parse_args(["deblur", "--help"])
         text = "".join(capsys.readouterr().out.split())  # argparse may wrap at a hyphen
         assert "|".join(SOLVERS) in text
-        assert text.count("|".join(KINDS) + "[:strength[,s1,...]]") == 2  # --denoiser, --denoiser-rain
+        assert text.count("|".join(DESIGNED_KINDS) + "[:strength[,s1,...]]") == 2  # --denoiser, --denoiser-rain
+        assert "|".join(KINDS) not in text  # external is set by --external-denoiser
 
 
 class TestExitCodes:
@@ -289,6 +290,12 @@ class TestExitCodes:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("flag", ["--denoiser", "--denoiser-rain"])
+    def test_external_kind_names_its_flag(self, capsys, flag):
+        # checked before the input is read, so no file is needed
+        assert run_cli(["derain", "--input", "x", flag, "external:1"]) == 1
+        assert "--external-denoiser" in capsys.readouterr().err
 
     def test_external_denoiser_that_cannot_start_falls_back(self, deblur_files, not_executable):
         # every anchored step is a BUS fallback, as for a missing command

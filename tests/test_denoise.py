@@ -36,6 +36,16 @@ class TestSpec:
         with pytest.raises(ConfigError):
             DenoiserSpec(kind="tv-rof", strength=strength)
 
+    @pytest.mark.parametrize("strength", [[1.0], "1", None, (1.0, "2")], ids=repr)
+    def test_strength_of_wrong_type_rejected(self, strength):
+        with pytest.raises(ConfigError, match="number"):
+            DenoiserSpec(kind="tv-rof", strength=strength)
+
+    @pytest.mark.parametrize("text", ["external", "external:1", " external :0.5,1"])
+    def test_parse_points_external_to_its_flag(self, text):
+        with pytest.raises(ConfigError, match="--external-denoiser"):
+            DenoiserSpec.parse(text)
+
     def test_parse_single(self):
         spec = DenoiserSpec.parse("tv-rof:0.05")
         assert spec.kind == "tv-rof" and spec.strength == 0.05

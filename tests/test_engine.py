@@ -322,6 +322,21 @@ class TestCallTimeLookups:
             "feasibility.solve_G_mu": 3,
         }
 
+    def test_derain_steps_reuse_the_kept_layers_work(self, counts):
+        # MDUS keeps the layers from k=4 on, so steps 5-11 get step 4's layer
+        # objects back and reuse its feasibility solves and denoiser calls
+        y, _, _ = rain_fixture(seed=42, size=64)
+        params = derain_params(rel_tol=0.0)
+        state = derain_init(y, DerainWeights(), params)
+        for k in range(12):
+            state, _ = derain_step(y, state, derain_denoisers(), params, k)
+        assert counts == {
+            "tasks.derain_objective": 36,
+            "tasks.denoise": 10 + 1,  # and derain_init's median
+            "feasibility.solve_G": 5,
+            "feasibility.solve_G_mu": 5,
+        }
+
 
 class Counting(LinearOperator):
     """``op``, counting its applications and its adjoint's in ``counts``."""

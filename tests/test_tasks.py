@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import tlf.feasibility
+import tlf.tasks
 from tlf.denoise import DenoiserSpec
 from tlf.engine import tlf_solve
 from tlf.errors import ConfigError, ShapeError, ValidationError
@@ -180,6 +182,112 @@ class TestDerainStep:
             for layer in (state.x_b, state.x_r):
                 assert layer.data.min() >= 0.0
                 assert layer.data.max() <= 1.0
+
+
+def rebuilt(state):
+    """``state`` built anew on copies of its layers, so that no earlier
+    step's work can fit it."""
+    return DerainState(
+        x_b=ImageTensor(state.x_b.data.copy()), x_r=ImageTensor(state.x_r.data.copy()),
+        beta=state.beta, gamma=state.gamma, weights=state.weights,
+        mu=state.mu, alpha=state.alpha, levels=state.levels,
+    )
+
+
+def assert_same_step(got, want):
+    """Two derain_step results agree byte for byte: layers, codes, mu,
+    alpha and the trace record (repr keeps every float's bits)."""
+    (state, rec), (ref, ref_rec) = got, want
+    for name in ("x_b", "x_r", "beta", "gamma"):
+        assert getattr(state, name).data.tobytes() == getattr(ref, name).data.tobytes(), name
+    assert repr((state.mu, state.alpha, rec)) == repr((ref.mu, ref.alpha, ref_rec))
+
+
+def counted(calls, name, fn):
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return wrapper
+
+
+# derain_denoisers() through k=7; at k=8 only the background strength
+# differs from it, at k=9 only the rain strength
+SCHEDULED = (
+    DenoiserSpec(kind="tv-rof", strength=(0.01,) * 8 + (0.05, 0.01)),
+    DenoiserSpec(kind="wavelet-shrink", strength=(0.01,) * 9 + (0.05,)),
+)
+
+
+class TestDerainStepReuse:
+    """A step on a state whose layers the previous step kept reuses that
+    step's layer-side work; the answers are those of a recomputing step."""
+
+    @pytest.mark.parametrize("size", [32, 64])
+    def test_chain_equals_recomputed_chain(self, size):
+        y, _, _ = rain_fixture(seed=42, size=size)
+        params = derain_params(rel_tol=0.0)
+        plain = copied = derain_init(y, DerainWeights(), params)
+        branches = []
+        for k in range(12):
+            plain, rec = derain_step(y, plain, derain_denoisers(), params, k)
+            step = derain_step(y, rebuilt(copied), derain_denoisers(), params, k)
+            assert_same_step((plain, rec), step)
+            copied = step[0]
+            branches.append(rec.mdus_branch)
+        assert MDUS_KEPT in branches[:-1]  # some step of the plain chain reused work
+
+    @pytest.fixture(scope="class")
+    def kept(self):
+        """y, and the state a kept-layers step returned at k=6."""
+        y, _, _ = rain_fixture(seed=42, size=64)
+        params = derain_params(rel_tol=0.0)
+        state = derain_init(y, DerainWeights(), params)
+        for k in range(7):
+            state, rec = derain_step(y, state, SCHEDULED, params, k)
+        assert rec.mdus_branch == MDUS_KEPT
+        return y, state
+
+    @pytest.mark.parametrize("mu_scale,want", [(1.0, []), (0.5, ["solve_G_mu"])])
+    def test_kept_state_recomputes_only_what_mu_changes(self, kept, monkeypatch, mu_scale, want):
+        # a smaller mu (a BUS rejection) solves the anchored pair again from
+        # the same denoised layers
+        y, state = kept
+        calls = []
+        for module, name in ((tlf.tasks, "denoise"), (tlf.feasibility, "solve_G"), (tlf.feasibility, "solve_G_mu")):
+            monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
+        derain_step(y, replace(state, mu=mu_scale * state.mu), SCHEDULED, derain_params(rel_tol=0.0), 7)
+        assert calls == want
+
+    @pytest.mark.parametrize("change", [
+        "nothing", "y", "x_b", "x_r", "weights", "levels", "mu", "background-spec", "rain-spec",
+        "background-strength", "rain-strength",
+    ])
+    def test_changed_input_equals_rebuilt_state(self, kept, change):
+        y, state = kept
+        params = derain_params(rel_tol=0.0)
+        n_b, n_r = SCHEDULED
+        k = 7
+        if change == "y":
+            y = ImageTensor(0.9 * y.data)
+        elif change in ("x_b", "x_r"):
+            state = replace(state, **{change: ImageTensor(0.9 * getattr(state, change).data)})
+        elif change == "weights":
+            state = replace(state, weights=replace(state.weights, rho1=0.05))
+        elif change == "levels":
+            state = replace(state, levels=2)
+        elif change == "mu":
+            state = replace(state, mu=0.5 * state.mu)
+        elif change == "background-spec":  # same strength, other kind
+            n_b = DenoiserSpec(kind="gaussian", strength=0.01)
+        elif change == "rain-spec":
+            n_r = DenoiserSpec(kind="median", strength=0.01)
+        elif change == "background-strength":  # same specs, next strength
+            k = 8
+        elif change == "rain-strength":
+            k = 9
+        got = derain_step(y, state, (n_b, n_r), params, k)
+        assert_same_step(got, derain_step(y, rebuilt(state), (n_b, n_r), params, k))
 
 
 class TestDerainSolve:
