@@ -13,7 +13,6 @@ guard over the stacked layers.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -143,9 +142,9 @@ class DerainState:
     mu: float  # the anchor weight of both layers' feasibility steps
     alpha: float
     levels: int = DEFAULT_LEVELS
-    # derain_step's layer-side work on these very layers, which a step that
-    # keeps the layers hands to the next one
-    _layer_work: "_LayerWork | None" = field(default=None, compare=False, repr=False)
+    # _memo's store: name -> (key, value); replace() shares it, derain_step
+    # empties it on a state with new layer objects
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def layers(self):
@@ -164,7 +163,28 @@ def _outside_box(*layers) -> bool:
     return any(layer.data.min() < 0.0 or layer.data.max() > 1.0 for layer in layers)
 
 
-def derain_objective(y: ImageTensor, state: DerainState, syntheses=None) -> float:
+def _memo(state, name, key, compute):
+    """``compute()``, kept in ``state``'s store under ``name`` with ``key``.
+
+    The store holds one entry per name, made for its full key: an entry is
+    reused only when its key ``==`` the new one, so an ImageTensor in it
+    (read-only, equal only to itself) must be the same object.  Otherwise
+    ``compute()`` replaces it; when it raises, nothing is stored.
+    """
+    entry = state._memo.get(name)
+    if entry is None or entry[0] != key:
+        entry = key, compute()
+        state._memo[name] = entry
+    return entry[1]
+
+
+def _syntheses(state):
+    """(W beta, W gamma) of the state's codes."""
+    codes = state.beta, state.gamma
+    return _memo(state, "syntheses", (*codes, state.levels), lambda: tuple(map(WaveletInverse(state.levels).apply, codes)))
+
+
+def derain_objective(y: ImageTensor, state: DerainState) -> float:
     """Full two-layer model value guarded by derain's MDUS step.
 
     Couples the layers to the observation (0.5*||y - x_b - x_r||^2) and to
@@ -172,18 +192,14 @@ def derain_objective(y: ImageTensor, state: DerainState, syntheses=None) -> floa
     observation term keeps the monotone guard sensitive to the layer
     decomposition; without it the code-projection point is always the
     blockwise optimum and the guard would reject every feasibility step.
-    ``syntheses``, when given, is the pair (W beta, W gamma) of the state's
-    own codes, which a caller that has them passes instead of resynthesizing.
     """
     w = state.weights
     if _outside_box(state.x_b, state.x_r):
         return math.inf
-    if syntheses is None:
-        syn = WaveletInverse(state.levels)
-        syntheses = syn.apply(state.beta), syn.apply(state.gamma)
+    syn_b, syn_r = _syntheses(state)
     ry = y.data - state.x_b.data - state.x_r.data
-    rb = state.x_b.data - syntheses[0].data
-    rr = state.x_r.data - syntheses[1].data
+    rb = state.x_b.data - syn_b.data
+    rr = state.x_r.data - syn_r.data
     val = 0.5 * w.recon_weight * float(np.vdot(ry, ry).real)
     val += 0.5 * float(np.vdot(rb, rb).real) + 0.5 * float(np.vdot(rr, rr).real)
     val += w.nu1 * lp_penalty(state.beta.data, w.p1)
@@ -242,54 +258,6 @@ def rain_layer_prox(resid, x_tilde, eta, rho, p):
     return prox_lp_array(center, ProxSpec(p, rho / (1.0 + eta)))
 
 
-class _LayerWork(NamedTuple):
-    """What derain_step computes from the layers alone, for one key.
-
-    The key is y, x_b and x_r by identity (ImageTensors are never changed in
-    place) plus the weights and levels by value.  ``anchors`` is None until
-    both layers have been denoised, then (request, (xt_b, xt_r)), the request
-    being both DenoiserSpecs and both strengths; ``anchored`` is then
-    (mu, the projected anchored pair) for those anchors.
-    """
-
-    y: ImageTensor
-    x_b: ImageTensor
-    x_r: ImageTensor
-    weights: DerainWeights
-    levels: int
-    analyses: tuple  # (W x_b, W x_r) for the code step
-    bg_model: FeasibilityModel
-    resid_r: np.ndarray  # y - x_b
-    x_G: tuple  # the projected anchor-free layer pair
-    anchors: tuple | None = None
-    anchored: tuple | None = None
-
-    def fits(self, y, state):
-        return (
-            self.y is y and self.x_b is state.x_b and self.x_r is state.x_r
-            and self.weights == state.weights and self.levels == state.levels
-        )
-
-
-def _layer_work(y, state):
-    """The state's own layer-side work if its key fits, else a fresh one."""
-    work = state._layer_work
-    if work is not None and work.fits(y, state):
-        return work
-    w = state.weights
-    ana = WaveletForward(state.levels)
-    bg_model = _background_model(y, state.x_r, w)
-    resid_r = y.data - state.x_b.data
-    x_G = (
-        project_box01(_feas.solve_G(bg_model, state.x_b)),
-        project_box01(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
-    )
-    return _LayerWork(
-        y, state.x_b, state.x_r, w, state.levels,
-        (ana.apply(state.x_b), ana.apply(state.x_r)), bg_model, resid_r, x_G,
-    )
-
-
 def derain_step(
     y: ImageTensor,
     state: DerainState,
@@ -302,60 +270,59 @@ def derain_step(
     Both layers' anchored steps share the weight mu, which BUS decays on
     rejection; MDUS's last fallback keeps the layers and moves only the
     codes.  Returns the next state and the trace record of the iteration.
-
-    Everything computed from the layers alone (their analyses, x_G, the
-    denoised layers per denoiser request and the anchored pair per mu) is
-    kept on a returned state whose layers are the input's own objects, and a
-    step on it reuses that work instead of recomputing it.
+    What it computes from the layers alone (analyses, x_G, denoised layers,
+    anchored pair) goes through ``_memo``, so a kept-layers state reuses it.
     """
     w = state.weights
-    syn = WaveletInverse(state.levels)
     n_b, n_r = denoisers
     s = params.resolve_step(1.0)
-    work = _layer_work(y, state)
+    layers = (y, state.x_b, state.x_r, w, state.levels)
+
+    def layer_side():
+        ana = WaveletForward(state.levels)
+        bg_model = _background_model(y, state.x_r, w)
+        resid_r = y.data - state.x_b.data
+        x_G = (
+            project_box01(_feas.solve_G(bg_model, state.x_b)),
+            project_box01(ImageTensor(prox_lp_array(resid_r, ProxSpec(w.p2, w.rho2)))),
+        )
+        return (ana.apply(state.x_b), ana.apply(state.x_r)), bg_model, resid_r, x_G
+
+    analyses, bg_model, resid_r, x_G = _memo(state, "layers", layers, layer_side)
 
     # (a) proximal-gradient update of the sparse codes (orthonormal W => L=1)
     def code_step(c, analysis, p, nu):
         grad = c.data - analysis.data
         return ImageTensor(prox_lp_array(c.data - s * grad, ProxSpec(p, s * nu)))
 
-    beta = code_step(state.beta, work.analyses[0], w.p1, w.nu1)
-    gamma = code_step(state.gamma, work.analyses[1], w.p2, w.nu2)
+    beta = code_step(state.beta, analyses[0], w.p1, w.nu1)
+    gamma = code_step(state.gamma, analyses[1], w.p2, w.nu2)
     codes = replace(state, beta=beta, gamma=gamma)
 
     # (b) objective-side layer updates: project the synthesized codes. Every
-    # MDUS candidate carries these codes, so the objective reuses them.
-    syntheses = syn.apply(beta), syn.apply(gamma)
-    x_F = replace(codes, x_b=project_box01(syntheses[0]), x_r=project_box01(syntheses[1]))
+    # MDUS candidate shares these codes and the store, so the objective reuses them.
+    syn_b, syn_r = _syntheses(codes)
+    x_F = replace(codes, x_b=project_box01(syn_b), x_r=project_box01(syn_r))
 
     # (c)-(e) feasibility-side updates, anchor-free and anchored; a failed
-    # denoiser raises out of anchored() and leaves nothing in ``work``
-    x_G = replace(codes, x_b=work.x_G[0], x_r=work.x_G[1])
-    request = (n_b, n_r, n_b.strength_at(k), n_r.strength_at(k))
+    # denoiser raises out of anchored() and stores nothing
+    request = layers + (n_b, n_r, n_b.strength_at(k), n_r.strength_at(k))
 
     def anchored():
-        nonlocal work
-        if work.anchors is None or work.anchors[0] != request:
-            anchors = denoise(n_b, state.x_b, k), denoise(n_r, state.x_r, k)
-            work = work._replace(anchors=(request, anchors), anchored=None)
-        if work.anchored is None or work.anchored[0] != state.mu:
-            xt_b, xt_r = work.anchors[1]
-            pair = (
-                project_box01(_feas.solve_G_mu(work.bg_model, state.x_b, xt_b, state.mu)),
-                project_box01(ImageTensor(rain_layer_prox(work.resid_r, xt_r.data, state.mu, w.rho2, w.p2))),
-            )
-            work = work._replace(anchored=(state.mu, pair))
-        x_b, x_r = work.anchored[1]
+        xt_b, xt_r = _memo(state, "denoised", request, lambda: (denoise(n_b, state.x_b, k), denoise(n_r, state.x_r, k)))
+        x_b, x_r = _memo(state, "anchored", request + (state.mu,), lambda: (
+            project_box01(_feas.solve_G_mu(bg_model, state.x_b, xt_b, state.mu)),
+            project_box01(ImageTensor(rain_layer_prox(resid_r, xt_r.data, state.mu, w.rho2, w.p2))),
+        ))
         return replace(codes, x_b=x_b, x_r=x_r)
 
     out = latent_step(
-        k, state, x_F, x_G, anchored, state.mu, state.alpha, params,
-        lambda st: derain_objective(y, st, syntheses), codes,
+        k, state, x_F, replace(codes, x_b=x_G[0], x_r=x_G[1]), anchored, state.mu, state.alpha, params,
+        lambda st: derain_objective(y, st), codes,
     )
-    # only a state on the same layer objects can reuse the work; any other
-    # drops it, so a state holds no arrays of earlier layers
+    # new layer objects start an empty store: no state holds arrays of earlier layers
     kept = out.x.x_b is state.x_b and out.x.x_r is state.x_r
-    return replace(out.x, mu=out.mu, alpha=out.alpha, _layer_work=work if kept else None), out.record
+    return replace(out.x, mu=out.mu, alpha=out.alpha, _memo=state._memo if kept else {}), out.record
 
 
 def derain_solve(

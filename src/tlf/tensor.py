@@ -24,9 +24,14 @@ def _as_planar(arr):
     return np.ascontiguousarray(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageTensor:
-    """Channel-planar image or coefficient array with finite entries."""
+    """Channel-planar image or coefficient array with finite entries.
+
+    ``data`` is a read-only view and ``==`` is identity, so work may be keyed
+    on an ImageTensor. A float64 C-contiguous input is not copied: the
+    caller's own array stays writeable, and writes to it still show.
+    """
 
     data: np.ndarray
 
@@ -38,6 +43,8 @@ class ImageTensor:
             raise ShapeError(f"empty image shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValidationError("image contains NaN or Inf")
+        a = a.view()
+        a.flags.writeable = False
         object.__setattr__(self, "data", a)
 
     @property

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ import tlf.feasibility
 import tlf.tasks
 from tlf.denoise import DenoiserSpec
 from tlf.engine import tlf_solve
-from tlf.errors import ConfigError, ShapeError, ValidationError
+from tlf.errors import ConfigError, DenoiserError, ShapeError, ValidationError
 from tlf.feasibility import solve_G
 from tlf.fixtures import (
     deblur_fixture,
@@ -288,6 +290,49 @@ class TestDerainStepReuse:
             k = 9
         got = derain_step(y, state, (n_b, n_r), params, k)
         assert_same_step(got, derain_step(y, rebuilt(state), (n_b, n_r), params, k))
+
+    def test_kept_state_cannot_be_written(self, kept):
+        # reuse keys on the layer objects: an in-place write would make a
+        # later step return the old layer's answer
+        y, state = kept
+        for img in (y, state.x_b, state.x_r, state.beta, state.gamma):
+            with pytest.raises(ValueError):
+                img.data[:] *= 0.9
+
+    def test_failing_denoiser_is_asked_again_every_step(self, monkeypatch):
+        # the denoiser fails from k=4, where seed 42 starts keeping the
+        # layers: no failure is stored, so every later step asks it again
+        y, _, _ = rain_fixture(seed=42, size=64)
+        params = derain_params(rel_tol=0.0)
+        state = derain_init(y, DerainWeights(), params)
+        calls, branches, denoise = [], [], tlf.tasks.denoise
+
+        def failing_from_4(spec, x, k):
+            calls.append(k)
+            if k >= 4:
+                raise DenoiserError("denoiser down")
+            return denoise(spec, x, k)
+
+        monkeypatch.setattr(tlf.tasks, "denoise", failing_from_4)
+        for k in range(12):
+            state, rec = derain_step(y, state, derain_denoisers(), params, k)
+            if k >= 4:
+                assert rec.bus_branch == BUS_FALLBACK and math.isnan(rec.norm_xGmu_x)
+                branches.append(rec.mdus_branch)
+        # below k=4 both layers are denoised; from k=4 the background call raises
+        assert calls == [0, 0, 1, 1, 2, 2, 3, 3] + list(range(4, 12))
+        assert MDUS_KEPT in branches[:-1]  # some failing step ran on kept layers
+
+    def test_new_layers_drop_the_earlier_ones(self):
+        y, _, _ = rain_fixture(seed=42, size=64)
+        params = derain_params(rel_tol=0.0)
+        state = derain_init(y, DerainWeights(), params)
+        for k in range(4):  # seed 42 takes new layers at k=0..3
+            earlier = weakref.ref(state.x_b)
+            state, rec = derain_step(y, state, derain_denoisers(), params, k)
+            assert rec.mdus_branch != MDUS_KEPT
+            gc.collect()
+            assert earlier() is None, k
 
 
 class TestDerainSolve:

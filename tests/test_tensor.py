@@ -33,6 +33,33 @@ class TestImageTensor:
         assert img.shape == (1, 4, 5)
         assert img.height == 4 and img.width == 5 and img.channels == 1
 
+    @pytest.mark.parametrize("make", [
+        lambda rng: ImageTensor(rng.random((3, 4, 8))),
+        lambda rng: ImageTensor(rng.random((4, 8)).astype(np.float32)),  # converted copy
+        lambda rng: ImageTensor([[0.0, 1.0], [2.0, 3.0]]),
+        lambda rng: WaveletForward(2).apply(ImageTensor(rng.random((4, 8)))),
+        lambda rng: CircularConvolution(BlurKernel.gaussian(3, 1.0)).adjoint(ImageTensor(rng.random((4, 8)))),
+    ], ids=["float64", "float32", "list", "wavelet", "conv-adjoint"])
+    def test_data_is_read_only(self, rng, make):
+        img = make(rng)
+        with pytest.raises(ValueError):
+            img.data[0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            np.multiply(img.data, 2.0, out=img.data)
+
+    def test_equal_only_to_itself(self, rng):
+        # derain's step reuse keys on ImageTensors with ==
+        a = rng.random((1, 4, 4))
+        img = ImageTensor(a)
+        assert img == img and img != ImageTensor(a) and img != ImageTensor(a.copy())
+
+    def test_caller_array_stays_writeable(self, rng):
+        arr = rng.random((1, 4, 4))
+        img = ImageTensor(arr)
+        assert arr.flags.writeable
+        arr[0, 0, 0] = 2.0  # float64 C-order input is not copied: the write shows
+        assert img.data[0, 0, 0] == 2.0
+
 
 class TestBlurKernel:
     def test_normalization(self):
