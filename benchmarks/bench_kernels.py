@@ -18,7 +18,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tlf import _kernels as K  # noqa: E402
-from tlf.feasibility import FeasibilityModel, _normal_operator, solve_G  # noqa: E402
+from tlf.feasibility import FeasibilityModel, solve_G  # noqa: E402
 from tlf.tensor import (  # noqa: E402
     BlurKernel, CircularConvolution, ImageTensor, Mask, diff_stencil, irfft2, rfft2,
 )
@@ -44,13 +44,12 @@ def main():
     rng = np.random.default_rng(0)
     flat = rng.uniform(-2.0, 2.0, size=n * n)
     img = rng.standard_normal((n, n))
-    # one CG matvec of the inpaint x-subproblem: mask, both TV terms, mu = 0
-    model = FeasibilityModel(
+    # one 5-alternation HQS solve of the inpaint feasibility model (CG x-solve)
+    mask_model = FeasibilityModel(
         data_op=Mask((rng.uniform(size=(n, n)) > 0.4).astype(float)),
         observation=ImageTensor(img),
         tv_weight=2e-2,
     )
-    matvec = _normal_operator(model, 0.0)
     v = img[None, :, :]
     # one 10-alternation HQS solve of the deblur feasibility model (FFT x-solve)
     conv_model = FeasibilityModel(
@@ -85,7 +84,7 @@ def main():
         ("rfft2 two-pass", lambda: rfft2(v)),
         ("irfft2 numpy", lambda: np.fft.irfft2(spectrum, s=(n, n))),
         ("irfft2 two-pass", lambda: irfft2(spectrum, n)),
-        ("cg normal matvec", lambda: matvec(v)),
+        ("hqs solve cg", lambda: solve_G(mask_model, x0)),
         ("hqs solve fft", lambda: solve_G(conv_model, x0)),
     ]
 

@@ -1,9 +1,8 @@
 """Designed denoising modules plus the external-process denoiser protocol.
 
 The designed kinds stand in for trained networks: tv-rof (the package's
-own HQS), gaussian, median and wavelet-shrink, one function each in
-``_DESIGNED``.  ``external`` shells out to any executable speaking the TLF1
-wire protocol:
+own HQS), median and wavelet-shrink, one function each in ``_DESIGNED``.
+``external`` shells out to any executable speaking the TLF1 wire protocol:
 
     request:  b"TLF1" | u32-LE height | u32-LE width | u32-LE channels
               | f32-LE hint | h*w*c float32-LE values (row-major, planar)
@@ -24,9 +23,7 @@ import numpy as np
 from .errors import ConfigError, DenoiserError
 from .feasibility import FeasibilityModel, solve_G
 from .prox import ProxSpec, prox_lp
-from .tensor import (
-    DEFAULT_LEVELS, BlurKernel, CircularConvolution, Identity, ImageTensor, WaveletForward, WaveletInverse,
-)
+from .tensor import DEFAULT_LEVELS, Identity, ImageTensor, WaveletForward, WaveletInverse
 
 PROTOCOL_MAGIC = b"TLF1"
 DEFAULT_TIMEOUT = 30.0
@@ -95,13 +92,6 @@ def _tv_rof(x: ImageTensor, weight: float) -> ImageTensor:
     return solve_G(model, x)
 
 
-def _gaussian_blur(x: ImageTensor, sigma: float) -> ImageTensor:
-    radius = max(1, int(np.ceil(3.0 * sigma)))
-    size = min(2 * radius + 1, 2 * (min(x.height, x.width) // 2) - 1)
-    op = CircularConvolution(BlurKernel.gaussian(size, sigma))
-    return op.apply(x)
-
-
 def _median(x: ImageTensor, strength: float) -> ImageTensor:
     half = max(1, int(round(strength)))
     shifts = [
@@ -122,7 +112,7 @@ def _wavelet_shrink(x: ImageTensor, threshold: float) -> ImageTensor:
     return WaveletInverse(levels).apply(shrunk)
 
 
-_DESIGNED = {"tv-rof": _tv_rof, "gaussian": _gaussian_blur, "median": _median, "wavelet-shrink": _wavelet_shrink}
+_DESIGNED = {"tv-rof": _tv_rof, "median": _median, "wavelet-shrink": _wavelet_shrink}
 DESIGNED_KINDS = tuple(_DESIGNED)
 KINDS = (*DESIGNED_KINDS, "external")
 

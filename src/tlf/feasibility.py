@@ -13,10 +13,11 @@ exactly in the frequency domain when K states its ``gram_spectrum``, or
 otherwise (masks) by warm-started conjugate gradient with a Jacobi
 preconditioner: D = diag(K^T K) + 2*rho*(2[W>1] + 2[H>1]) + mu, the
 matrix's own diagonal.  CG stops once ||r|| <= cg_tol/2 * ||rhs||; a true
-relative residual above cg_tol after cg_max_iters iterations raises
+relative residual above cg_tol after CG_MAX_ITERS iterations raises
 NumericalError.  The model holds what a solve cannot change; the anchor
-(x_tilde, mu), the HQS buffers and their difference views, D and the CG
-buffers belong to each solve call, so threads may share one model.
+(x_tilde, mu), D and one set of HQS buffers and difference views belong to
+each solve call, so threads may share one model.  The CG matvec runs in
+that call's buffers, and CG updates the call's x in place.
 """
 
 import math
@@ -29,6 +30,8 @@ from .errors import ConfigError, NumericalError, ValidationError
 from .prox import ProxSpec, prox_lp_array
 from .tensor import ImageTensor, LinearOperator, diff_stencil
 
+CG_MAX_ITERS = 2000
+
 
 @dataclass(frozen=True)
 class FeasibilityModel:
@@ -39,7 +42,6 @@ class FeasibilityModel:
     hqs_rho: float = 0.05
     hqs_iters: int = 5
     cg_tol: float = 1e-8
-    cg_max_iters: int = 2000
     # Loop-invariant terms of the x-subproblem, computed once per model:
     # K^T b, and when K states its gram_spectrum the anchor-free Fourier
     # denominator |K^|^2 + 2 rho |g_h^|^2 + 2 rho |g_v^|^2 on the rfft grid (None: CG).
@@ -51,8 +53,6 @@ class FeasibilityModel:
             raise ConfigError("tv_weight must be >= 0")
         ProxSpec(self.tv_q, 0.0)  # validates the exponent
         check_hqs_keys(self.hqs_rho, self.hqs_iters, self.cg_tol)
-        if not self.cg_max_iters >= 1:
-            raise ConfigError("cg_max_iters must be >= 1")
         object.__setattr__(self, "ktb", self.data_op._adjoint(self.observation.data))
         object.__setattr__(self, "fft_base", _fft_base(self))
 
@@ -84,8 +84,8 @@ def _fft_base(model):
     return k2 + 2.0 * rho * gh2 + 2.0 * rho * gv2
 
 
-def _cg_solve(matvec, rhs, x0, tol, max_iters, diag):
-    """Warm-started Jacobi-preconditioned CG on matvec(x) = rhs.
+def _cg_solve(matvec, rhs, x, tol, max_iters, diag):
+    """Warm-started Jacobi-preconditioned CG on matvec(x) = rhs, in place on x.
 
     ``diag`` is the positive preconditioner D (an array or a scalar); each
     iteration preconditions the residual as z = r / D. The stop rule is on
@@ -93,13 +93,13 @@ def _cg_solve(matvec, rhs, x0, tol, max_iters, diag):
     must then meet ||rhs - matvec(x)|| <= tol * ||rhs||, or NumericalError is
     raised. ``matvec`` may return the same buffer on every call, so its
     result is used up before the next call. x, r, z and p are updated in
-    place.
+    place; a zero rhs sets x to 0. Returns x.
     """
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
+        x.fill(0.0)
+        return x
     stop = 0.5 * tol * rhs_norm
-    x = x0.copy()
     r = rhs - matvec(x)
     z = r / diag
     p = z.copy()
@@ -145,40 +145,6 @@ def _jacobi_diagonal(model, mu):
     return (1.0 if gram is None else gram) + weight * 2.0 * (w > 1) + weight * 2.0 * (h > 1) + mu
 
 
-def _normal_operator(model, mu):
-    """v -> (K^T K + 2 rho G_h^T G_h + 2 rho G_v^T G_v + mu I) v for CG.
-
-    Each element goes through the same IEEE operations, in the same order, as
-    composing the operators, so CG iterates do not change. The buffers and
-    their difference views belong to the returned function, which returns
-    the same buffer on every call; the input's views are remade only when a
-    different array comes in. Build one per solve: threads may share a
-    model. Inputs must be C-contiguous.
-    """
-    k_op = model.data_op
-    weight = 2.0 * model.hqs_rho
-    out, g, gg = (np.empty(model.observation.shape) for _ in range(3))
-    axes = (-1, -2)  # G_h, then G_v
-    second = [diff_stencil(g, gg, axis, False) for axis in axes]
-    first = [None, None]  # the last input array and its forward-difference views
-
-    def matvec(v):
-        if first[0] is not v:
-            first[:] = v, [diff_stencil(v, g, axis, True) for axis in axes]
-        k_op._gram(v, out)
-        for fwd, bwd in zip(first[1], second):
-            for minuend, subtrahend, dst in fwd + bwd:
-                np.subtract(minuend, subtrahend, out=dst)
-            np.multiply(gg, weight, out=gg)
-            np.add(out, gg, out=out)
-        if mu > 0.0:
-            np.multiply(v, mu, out=gg)
-            np.add(out, gg, out=out)
-        return out
-
-    return matvec
-
-
 def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
     """The HQS alternation; ``anchor`` (an ImageTensor) enters only when mu > 0.
 
@@ -186,7 +152,8 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
     and each alternation writes into them with the same IEEE operations, in
     the same order, as the allocating form: z = prox(G x) for both
     directions at once, rhs = ((K^T b + 2 rho G_h^T z_h) + 2 rho G_v^T z_v)
-    + mu x_tilde, then the x-solve.
+    + mu x_tilde, then the x-solve. The CG x-solve's matvec reuses z and bz,
+    which the rhs no longer needs, and updates x in place.
     """
     b = model.observation.data
     if x_init.shape != b.shape:
@@ -198,6 +165,7 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
     bz = np.empty_like(z)  # G_h^T z_h and G_v^T z_v; before that, the prox's scratch
     bh, bv = bz
     rhs = np.empty(b.shape)
+    out = None if model.fft_base is not None else np.empty(b.shape)  # the CG matvec's result
     # x, the result, is made after the buffers: it outlives the call, so it
     # keeps the freed buffers off the top of the heap, where glibc would trim
     # them and the next call would fault them in again.
@@ -205,10 +173,30 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
     forward = diff_stencil(x, z[0], -1, True) + diff_stencil(x, z[1], -2, True)
     backward = diff_stencil(z[0], bh, -1, False) + diff_stencil(z[1], bv, -2, False)
     anchor_term = mu * anchor.data if mu > 0.0 else None
-    if model.fft_base is None:
-        matvec, diag = _normal_operator(model, mu), _jacobi_diagonal(model, mu)
-    else:
+    if model.fft_base is not None:
         matvec, denominator = None, model.fft_base + mu
+    else:
+        diag = _jacobi_diagonal(model, mu)
+        last = [None, None]  # CG's last input other than x, and its forward views
+
+        def matvec(v):
+            """(K^T K + 2 rho G_h^T G_h + 2 rho G_v^T G_v + mu I) v, added in that order."""
+            if v is x:
+                views = forward
+            else:
+                if last[0] is not v:
+                    last[:] = v, diff_stencil(v, z[0], -1, True) + diff_stencil(v, z[1], -2, True)
+                views = last[1]
+            for minuend, subtrahend, dst in views + backward:
+                np.subtract(minuend, subtrahend, out=dst)
+            np.multiply(bz, weight, out=bz)
+            model.data_op._gram(v, out)
+            np.add(out, bh, out=out)
+            np.add(out, bv, out=out)
+            if mu > 0.0:
+                np.multiply(v, mu, out=z[0])
+                np.add(out, z[0], out=out)
+            return out
 
     for _ in range(model.hqs_iters):
         for minuend, subtrahend, dst in forward:
@@ -230,8 +218,7 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
             np.divide(spectrum, denominator, out=spectrum)
             np.copyto(x, _tensor.irfft2(spectrum, b.shape[2]))
         else:
-            # copied, so the difference views of x stay valid
-            np.copyto(x, _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters, diag))
+            _cg_solve(matvec, rhs, x, model.cg_tol, CG_MAX_ITERS, diag)
     return ImageTensor(x)
 
 

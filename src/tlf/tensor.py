@@ -239,7 +239,7 @@ class Mask(LinearOperator):
         self.mask = m
 
     def _check(self, a):
-        if a.shape[1:] != self.mask.shape[1:]:
+        if a.shape[1:] != self.mask.shape[1:] or self.mask.shape[0] not in (1, a.shape[0]):
             raise ShapeError(f"mask {self.mask.shape} vs image {a.shape}")
         return a
 

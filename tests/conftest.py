@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from tlf.feasibility import _cg_solve, _jacobi_diagonal, _normal_operator, solve_G, solve_G_mu
+from tlf.feasibility import CG_MAX_ITERS, _cg_solve, _jacobi_diagonal, solve_G, solve_G_mu
 from tlf.metrics import psnr
 from tlf.problem import Point, relative_change
 from tlf.prox import ProxSpec, lp_penalty, prox_lp_array
@@ -105,7 +105,8 @@ def hqs_energy(model, x, zh, zv, anchor=None, mu=0.0):
 
 
 def reference_hqs(model, x_init, anchor, mu):
-    """The allocating HQS alternation: fresh arrays for every term, every pass.
+    """The allocating HQS alternation: fresh arrays for every term, every pass,
+    and CG on the oracle ``normal_apply``.
 
     ``anchor`` (an ImageTensor) enters only when mu > 0. Returns the final x,
     the splitting energy at the start and after each alternation, and the
@@ -116,20 +117,17 @@ def reference_hqs(model, x_init, anchor, mu):
     spec = ProxSpec(model.tv_q, model.tv_weight / (2.0 * rho))
     x = x_init.data.copy()
     energies = [hqs_energy(model, x, roll_diff(x, -1, True), roll_diff(x, -2, True), anchor_arr, mu)]
-    if model.fft_base is None:
-        matvec, diag = _normal_operator(model, mu), _jacobi_diagonal(model, mu)
-    else:
-        matvec = None
     for _ in range(model.hqs_iters):
         zh = prox_lp_array(roll_diff(x, -1, True), spec)
         zv = prox_lp_array(roll_diff(x, -2, True), spec)
         rhs = model.ktb + 2.0 * rho * roll_diff(zh, -1, False) + 2.0 * rho * roll_diff(zv, -2, False)
         if anchor_arr is not None:
             rhs = rhs + mu * anchor_arr
-        if matvec is None:
+        if model.fft_base is not None:
             x = np.fft.irfft2(np.fft.rfft2(rhs) / (model.fft_base + mu), s=rhs.shape[1:])
         else:
-            x = _cg_solve(matvec, rhs, x, model.cg_tol, model.cg_max_iters, diag)
+            diag = _jacobi_diagonal(model, mu)
+            x = _cg_solve(lambda v: normal_apply(model, v, mu), rhs, x, model.cg_tol, CG_MAX_ITERS, diag)
         energies.append(hqs_energy(model, x, zh, zv, anchor_arr, mu))
     return x, energies, rhs
 

@@ -297,6 +297,10 @@ class TestExitCodes:
         assert run_cli(["derain", "--input", "x", flag, "external:1"]) == 1
         assert "--external-denoiser" in capsys.readouterr().err
 
+    def test_gaussian_kind_is_gone(self, capsys):
+        assert run_cli(["deblur", "--input", "x", "--denoiser", "gaussian:1"]) == 1
+        assert "unknown denoiser kind 'gaussian'" in capsys.readouterr().err
+
     def test_external_denoiser_that_cannot_start_falls_back(self, deblur_files, not_executable):
         # every anchored step is a BUS fallback, as for a missing command
         code = run_cli(

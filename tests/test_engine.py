@@ -208,7 +208,7 @@ class TestDtlfSolve:
     def test_identity_module_large_mu_bus_accepts(self, rng):
         prob, feas, _ = image_space_setup(rng, 16, 16)
         params = SolverParams(max_iters=5, rel_tol=0.0, mu0=1e6)
-        spec = DenoiserSpec(kind="gaussian", strength=0.0)  # x_tilde = x
+        spec = DenoiserSpec(kind="median", strength=0.0)  # x_tilde = x
         _, trace = dtlf_solve(prob, feas, spec, params)
         for rec in trace:
             # anchored solve pinned at x itself: left side of the bound ~ 0

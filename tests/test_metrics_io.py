@@ -264,7 +264,7 @@ class TestConfig:
         "owner,key",
         [(SolverParams, key) for key in ("step", "max_iters", "rel_tol", "mu0", "bus_c")]
         + [(DerainWeights, key) for key in ("nu1", "nu2", "rho1", "rho2", "recon_weight")]
-        + [(FeasibilityModel, key) for key in ("tv_weight", "hqs_iters", "cg_max_iters")]
+        + [(FeasibilityModel, key) for key in ("tv_weight", "hqs_iters")]
         + [(CompositeProblem, "lipschitz"), (WaveletForward, "levels")]
         + [(ExperimentConfig, key) for key in ("lambda1", "lambda2", "jobs")],
         ids=lambda v: v if isinstance(v, str) else v.__name__,

@@ -17,6 +17,7 @@ from tlf.fixtures import (
     deblur_params,
     derain_denoisers,
     derain_params,
+    inpaint_fixture,
     rain_fixture,
     synthetic_scene,
 )
@@ -98,6 +99,12 @@ class TestBuildInpaint:
         obs = ImageTensor(rng.uniform(size=(1, 16, 16)))
         with pytest.raises(ValidationError):
             build_inpaint(obs, 0.5 * np.ones((16, 16)), lambda1=1e-3)
+
+    def test_mask_channels_must_match_the_image(self):
+        # a 3-channel mask on a 1-channel observation once built a 3-channel problem
+        _, mask, observed = inpaint_fixture(seed=5, size=16)
+        with pytest.raises(ShapeError):
+            build_inpaint(observed, np.stack([mask] * 3), lambda1=1e-3)
 
     def test_lipschitz_is_one(self, rng):
         obs = ImageTensor(rng.uniform(size=(1, 16, 16)))
@@ -281,7 +288,7 @@ class TestDerainStepReuse:
         elif change == "mu":
             state = replace(state, mu=0.5 * state.mu)
         elif change == "background-spec":  # same strength, other kind
-            n_b = DenoiserSpec(kind="gaussian", strength=0.01)
+            n_b = DenoiserSpec(kind="median", strength=0.01)
         elif change == "rain-spec":
             n_r = DenoiserSpec(kind="median", strength=0.01)
         elif change == "background-strength":  # same specs, next strength

@@ -101,6 +101,13 @@ class TestApply:
         with pytest.raises(ShapeError):
             m.apply(random_image(rng, 16, 16))
 
+    def test_mask_has_one_channel_or_the_image_count(self, rng):
+        one, three = Mask(np.ones((8, 8))), Mask(np.ones((3, 8, 8)))
+        assert one.apply(random_image(rng, 8, 8, c=3)).shape == (3, 8, 8)
+        assert three.apply(random_image(rng, 8, 8, c=3)).shape == (3, 8, 8)
+        with pytest.raises(ShapeError):
+            three.apply(random_image(rng, 8, 8))
+
     def test_fft_matches_naive_conv(self, rng):
         for h, w, ks in ((8, 8, 3), (16, 16, 5), (16, 12, 5)):
             x = rng.standard_normal((h, w))
