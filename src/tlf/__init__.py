@@ -22,7 +22,6 @@ from .tensor import (
     LinearOperator,
     Mask,
     WaveletForward,
-    WaveletInverse,
 )
 from .trace import IterateTrace, TraceRecord
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DenoiserError
 from .feasibility import FeasibilityModel, solve_G
 from .prox import ProxSpec, prox_lp
-from .tensor import DEFAULT_LEVELS, Identity, ImageTensor, WaveletForward, WaveletInverse
+from .tensor import DEFAULT_LEVELS, Identity, ImageTensor, WaveletForward
 
 PROTOCOL_MAGIC = b"TLF1"
 DEFAULT_TIMEOUT = 30.0
@@ -107,9 +107,8 @@ def _wavelet_shrink(x: ImageTensor, threshold: float) -> ImageTensor:
     # that is odd keeps 1 level and fails the transform's size check
     sides = x.height | x.width
     levels = min(DEFAULT_LEVELS, max(1, (sides & -sides).bit_length() - 1))
-    coeffs = WaveletForward(levels).apply(x)
-    shrunk = prox_lp(coeffs, ProxSpec(1.0, threshold))
-    return WaveletInverse(levels).apply(shrunk)
+    wavelet = WaveletForward(levels)
+    return wavelet.adjoint(prox_lp(wavelet.apply(x), ProxSpec(1.0, threshold)))
 
 
 _DESIGNED = {"tv-rof": _tv_rof, "median": _median, "wavelet-shrink": _wavelet_shrink}

@@ -21,27 +21,27 @@ BASELINE_METHODS = ("pg", "apg", "mapg")
 class CompositeProblem:
     """Smooth data-fit plus prox-able lp regularizer.
 
-    The data operator is A = K o W^T: ``synthesis`` (W^T; ``Identity()``
-    for an image-space problem) maps the optimization variable to an image
-    and ``image_op`` (K) maps that image to observation space, so
-    A x = K(W^T x) and A^T r = W(K^T r).
+    The data operator is A = K o W^T: ``wavelet`` holds the analysis W
+    (``Identity()`` for an image-space problem), whose adjoint maps the
+    optimization variable to an image, and ``image_op`` (K) maps that image
+    to observation space, so A x = K(W^T x) and A^T r = W(K^T r).
     """
 
     image_op: LinearOperator
     observation: ImageTensor
     reg_spec: ProxSpec  # tau field carries the weight lambda1
     lipschitz: float
-    synthesis: LinearOperator
+    wavelet: LinearOperator
 
     def __post_init__(self):
         if not self.lipschitz > 0:
             raise ConfigError(f"lipschitz must be > 0, got {self.lipschitz}")
 
     def to_image(self, x: ImageTensor) -> ImageTensor:
-        return self.synthesis.apply(x)
+        return self.wavelet.adjoint(x)
 
     def from_image(self, img: ImageTensor) -> ImageTensor:
-        return self.synthesis.adjoint(img)
+        return self.wavelet.apply(img)
 
     def default_init(self) -> ImageTensor:
         return self.from_image(self.observation)

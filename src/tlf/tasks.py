@@ -31,7 +31,6 @@ from .tensor import (
     ImageTensor,
     Mask,
     WaveletForward,
-    WaveletInverse,
 )
 
 
@@ -39,14 +38,14 @@ def _composite(observation, image_op, lipschitz, lambda1, p, lambda2, q, levels,
     """The wavelet-code problem over image_op o W^T and its TV feasibility
     model over image_op, both fitting ``observation``.  ``hqs`` holds the
     FeasibilityModel solver keywords (hqs_rho, hqs_iters, cg_tol)."""
-    synthesis = WaveletInverse(levels)
-    synthesis._check(observation.data)  # dyadic size for the wavelet transform
+    wavelet = WaveletForward(levels)
+    wavelet._check(observation.data)  # dyadic size for the wavelet transform
     prob = CompositeProblem(
         image_op=image_op,
         observation=observation,
         reg_spec=ProxSpec(p, lambda1),
         lipschitz=lipschitz,
-        synthesis=synthesis,
+        wavelet=wavelet,
     )
     feas = FeasibilityModel(
         data_op=image_op,
@@ -96,9 +95,7 @@ def build_inpaint(
 ):
     """Masked-observation problem; the mask+TV system is solved by CG.
     With W orthonormal and a 0/1 mask the Lipschitz constant is 1."""
-    mask_op = Mask(mask)  # validates binary entries
-    if mask_op.mask.shape[1:] != (observed.height, observed.width):
-        raise ValidationError("mask shape differs from observation")
+    mask_op = Mask(mask)  # validates binary entries; apply checks the shape
     return _composite(
         mask_op.apply(observed), mask_op, 1.0, lambda1, p, lambda2, q, levels,
         hqs_rho=hqs_rho, hqs_iters=hqs_iters, cg_tol=cg_tol,
@@ -181,7 +178,7 @@ def _memo(state, name, key, compute):
 def _syntheses(state):
     """(W beta, W gamma) of the state's codes."""
     codes = state.beta, state.gamma
-    return _memo(state, "syntheses", (*codes, state.levels), lambda: tuple(map(WaveletInverse(state.levels).apply, codes)))
+    return _memo(state, "syntheses", (*codes, state.levels), lambda: tuple(map(WaveletForward(state.levels).adjoint, codes)))
 
 
 def derain_objective(y: ImageTensor, state: DerainState) -> float:

@@ -312,20 +312,3 @@ class WaveletForward(LinearOperator):
 
     def _adjoint(self, a):
         return _kernels.haar2_inverse(a, self.levels)
-
-
-class WaveletInverse(LinearOperator):
-    """Orthonormal multi-level 2D Haar synthesis (adjoint of the analysis)."""
-
-    def __init__(self, levels=DEFAULT_LEVELS):
-        self._fwd = WaveletForward(levels)
-        self.levels = levels
-
-    def _check(self, a):
-        return self._fwd._check(a)
-
-    def _apply(self, a):
-        return self._fwd._adjoint(a)
-
-    def _adjoint(self, a):
-        return self._fwd._apply(a)

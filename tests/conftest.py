@@ -33,6 +33,22 @@ def stencil_diff(a, out, axis, forward):
     return out
 
 
+class Adjoint(LinearOperator):
+    """The adjoint of ``op`` as an operator, e.g. the Haar synthesis W^T."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def _check(self, a):
+        return self.op._check(a)
+
+    def _apply(self, a):
+        return self.op._adjoint(a)
+
+    def _adjoint(self, a):
+        return self.op._apply(a)
+
+
 class StencilDiff(LinearOperator):
     """The forward difference along ``axis`` as the HQS solve writes it; its
     adjoint is the backward one."""

@@ -205,6 +205,14 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_wrong_size_mask_exits_1(self, tmp_path, capsys):
+        _, mask, observed = inpaint_fixture(seed=5, size=16)
+        write_tlft(tmp_path / "obs.tlft", observed)
+        write_mask(tmp_path / "mask.pgm", mask[:, :8])
+        args = ["inpaint", "--input", tmp_path / "obs.tlft", "--mask", tmp_path / "mask.pgm"]
+        assert run_cli(args + ["--out", tmp_path / "o"]) == 1
+        assert "mask (1, 16, 8) vs image (1, 16, 16)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "0"])
     def test_bad_cg_tol(self, tmp_path, tol):
         _, mask, observed = inpaint_fixture(seed=5, size=16)

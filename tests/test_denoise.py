@@ -4,7 +4,7 @@ import pytest
 from tlf.denoise import KINDS, DenoiserSpec, denoise, external_roundtrip
 from tlf.errors import ConfigError, DenoiserError, ShapeError
 from tlf.prox import ProxSpec, prox_lp
-from tlf.tensor import ImageTensor, WaveletForward, WaveletInverse
+from tlf.tensor import ImageTensor, WaveletForward
 
 from conftest import random_image, roll_diff, write_double
 
@@ -108,7 +108,7 @@ class TestDesignedDenoisers:
         x = random_image(rng, 16, 16)
         tau = 0.03
         got = denoise(DenoiserSpec(kind="wavelet-shrink", strength=tau), x, 0)
-        want = WaveletInverse(3).apply(
+        want = WaveletForward(3).adjoint(
             prox_lp(WaveletForward(3).apply(x), ProxSpec(1.0, tau))
         )
         assert np.array_equal(got.data, want.data)
@@ -117,7 +117,7 @@ class TestDesignedDenoisers:
     def test_wavelet_shrink_levels_follow_the_size(self, rng, h, w, levels):
         x = random_image(rng, h, w)
         got = denoise(DenoiserSpec(kind="wavelet-shrink", strength=0.03), x, 0)
-        want = WaveletInverse(levels).apply(
+        want = WaveletForward(levels).adjoint(
             prox_lp(WaveletForward(levels).apply(x), ProxSpec(1.0, 0.03))
         )
         assert np.array_equal(got.data, want.data)

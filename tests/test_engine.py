@@ -379,9 +379,9 @@ class TestOperatorApplications:
         gt, kernel, blurry = deblur_fixture(size=32)
         prob, feas = build_deblur(blurry, kernel, **DEBLUR_WEIGHTS)
         counts = Counter()
-        synthesis = Counting(prob.synthesis, ("W^T", "W"), counts)
+        wavelet = Counting(prob.wavelet, ("W", "W^T"), counts)
         conv = Counting(prob.image_op, ("K", "K^T"), counts)
-        prob = replace(prob, image_op=conv, synthesis=synthesis)
+        prob = replace(prob, image_op=conv, wavelet=wavelet)
         params = deblur_params(max_iters=iters, rel_tol=0.0)
         if method == "tlf":
             _, trace = tlf_solve(prob, feas, params, ground_truth=gt)

@@ -35,10 +35,10 @@ from tlf.tasks import (
     estimate_rain_layer,
     rain_layer_prox,
 )
-from tlf.tensor import BlurKernel, ImageTensor, WaveletForward, WaveletInverse
+from tlf.tensor import BlurKernel, ImageTensor, WaveletForward
 from tlf.trace import BUS_FALLBACK, MDUS_BRANCHES, MDUS_KEPT
 
-from conftest import estimate_lipschitz, roll_diff
+from conftest import Adjoint, estimate_lipschitz, roll_diff
 
 
 class TestBuildDeblur:
@@ -60,7 +60,8 @@ class TestBuildDeblur:
         want = float(np.abs(np.fft.fft2(pad)).max() ** 2)
         assert prob.lipschitz == pytest.approx(want, abs=1e-12)
         shape = (1, blurry.height, blurry.width)
-        power = estimate_lipschitz(prob.synthesis, prob.image_op, shape=shape, iters=1500)
+        # power iteration on A = K o W^T, synthesis first
+        power = estimate_lipschitz(Adjoint(prob.wavelet), prob.image_op, shape=shape, iters=1500)
         assert abs(power - prob.lipschitz) <= 1e-6
 
     def test_non_dyadic_rejected(self, rng):
@@ -106,6 +107,12 @@ class TestBuildInpaint:
         with pytest.raises(ShapeError):
             build_inpaint(observed, np.stack([mask] * 3), lambda1=1e-3)
 
+    def test_mask_size_must_match_the_image(self):
+        # Mask's shape rule, raised where build_inpaint applies the mask
+        _, mask, observed = inpaint_fixture(seed=5, size=16)
+        with pytest.raises(ShapeError, match=r"mask \(1, 16, 8\) vs image \(1, 16, 16\)"):
+            build_inpaint(observed, mask[:, :8], lambda1=1e-3)
+
     def test_lipschitz_is_one(self, rng):
         obs = ImageTensor(rng.uniform(size=(1, 16, 16)))
         mask = (rng.uniform(size=(16, 16)) > 0.4).astype(float)
@@ -126,9 +133,9 @@ class TestDerainStep:
         y, xb, xr, w, params = small_rain_setup(rng)
         state = derain_init(y, w, params)
         got = derain_objective(y, state)
-        syn = WaveletInverse(3)
-        db = syn.apply(state.beta).data
-        dg = syn.apply(state.gamma).data
+        wavelet = WaveletForward(3)
+        db = wavelet.adjoint(state.beta).data
+        dg = wavelet.adjoint(state.gamma).data
         want = 0.0
         for yv, bv, rv in zip(y.data.ravel(), state.x_b.data.ravel(), state.x_r.data.ravel()):
             want += 0.5 * w.recon_weight * (yv - bv - rv) ** 2
