@@ -60,6 +60,9 @@ def main():
     )
     x0 = ImageTensor(img)
     spectrum = rfft2(v)
+    # the HQS solve's buffers: its spectrum, which irfft2 uses up, and x
+    spectrum_buf = np.empty_like(spectrum)
+    image_buf = np.empty_like(v)
     # the wrap-around differences of one HQS alternation, through views made
     # once as the solve makes them: G_h x and G_v x into z, then G_h^T z_h
     # and G_v^T z_v into bz
@@ -84,6 +87,7 @@ def main():
         ("rfft2 two-pass", lambda: rfft2(v)),
         ("irfft2 numpy", lambda: np.fft.irfft2(spectrum, s=(n, n))),
         ("irfft2 two-pass", lambda: irfft2(spectrum, n)),
+        ("fft pair buffered", lambda: irfft2(rfft2(v, out=spectrum_buf), n, out=image_buf)),
         ("hqs solve cg", lambda: solve_G(mask_model, x0)),
         ("hqs solve fft", lambda: solve_G(conv_model, x0)),
     ]

@@ -17,7 +17,9 @@ relative residual above cg_tol after CG_MAX_ITERS iterations raises
 NumericalError.  The model holds what a solve cannot change; the anchor
 (x_tilde, mu), D and one set of HQS buffers and difference views belong to
 each solve call, so threads may share one model.  The CG matvec runs in
-that call's buffers, and CG updates the call's x in place.
+that call's buffers, and CG updates the call's x in place.  The FFT x-solve
+keeps its spectrum in one buffer per call, scales it by the reciprocal of
+the denominator (fft_base + mu) and transforms it back into x itself.
 """
 
 import math
@@ -153,11 +155,13 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
     the same order, as the allocating form: z = prox(G x) for both
     directions at once, rhs = ((K^T b + 2 rho G_h^T z_h) + 2 rho G_v^T z_v)
     + mu x_tilde, then the x-solve. The CG x-solve's matvec reuses z and bz,
-    which the rhs no longer needs, and updates x in place.
+    which the rhs no longer needs, and updates x in place. The FFT x-solve
+    scales one spectrum buffer by a reciprocal where the allocating form
+    divides, and writes the inverse transform into x.
     """
     b = model.observation.data
     if x_init.shape != b.shape:
-        raise ConfigError("x_init shape differs from observation")
+        raise ValidationError(f"x_init shape {x_init.shape} differs from observation {b.shape}")
     weight = 2.0 * model.hqs_rho
     spec = ProxSpec(model.tv_q, model.tv_weight / weight)
 
@@ -165,7 +169,10 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
     bz = np.empty_like(z)  # G_h^T z_h and G_v^T z_v; before that, the prox's scratch
     bh, bv = bz
     rhs = np.empty(b.shape)
-    out = None if model.fft_base is not None else np.empty(b.shape)  # the CG matvec's result
+    if model.fft_base is not None:
+        spectrum = np.empty(b.shape[:2] + (b.shape[2] // 2 + 1,), dtype=complex)
+    else:
+        out = np.empty(b.shape)  # the CG matvec's result
     # x, the result, is made after the buffers: it outlives the call, so it
     # keeps the freed buffers off the top of the heap, where glibc would trim
     # them and the next call would fault them in again.
@@ -174,7 +181,11 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
     backward = diff_stencil(z[0], bh, -1, False) + diff_stencil(z[1], bv, -2, False)
     anchor_term = mu * anchor.data if mu > 0.0 else None
     if model.fft_base is not None:
-        matvec, denominator = None, model.fft_base + mu
+        # numpy divides a complex c by a real d as ((re c + im c * 0) +
+        # i (im c - re c * 0)) * (1/d), so the reciprocal's product is the
+        # quotient but for the sign of a zero part; the dividing oracle in
+        # tests/conftest.py pins the solve byte for byte.
+        matvec, reciprocal = None, 1.0 / (model.fft_base + mu)
     else:
         diag = _jacobi_diagonal(model, mu)
         last = [None, None]  # CG's last input other than x, and its forward views
@@ -212,11 +223,12 @@ def _hqs(model: FeasibilityModel, x_init: ImageTensor, anchor, mu):
         if matvec is None:
             # Every channel in one call, through tlf.tensor's FFT pair looked
             # up at call time; why not scipy.fft is noted at
-            # CircularConvolution._conv. The result is copied, so the
-            # difference views of x stay valid.
-            spectrum = _tensor.rfft2(rhs)
-            np.divide(spectrum, denominator, out=spectrum)
-            np.copyto(x, _tensor.irfft2(spectrum, b.shape[2]))
+            # CircularConvolution._conv. The spectrum is scaled in its own
+            # buffer and transformed back into x itself, so the difference
+            # views of x stay valid.
+            _tensor.rfft2(rhs, out=spectrum)
+            np.multiply(spectrum, reciprocal, out=spectrum)
+            _tensor.irfft2(spectrum, b.shape[2], out=x)
         else:
             _cg_solve(matvec, rhs, x, model.cg_tol, CG_MAX_ITERS, diag)
     return ImageTensor(x)

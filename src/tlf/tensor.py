@@ -121,19 +121,26 @@ class BlurKernel:
         return cls(taps)
 
 
-def rfft2(a):
+def rfft2(a, out=None):
     """``np.fft.rfft2(a)``, bit for bit, over the last two axes.
 
     numpy's rfftn makes exactly these two 1-D calls; calling them directly
-    skips its per-call n-d argument handling.
+    skips its per-call n-d argument handling. With ``out`` (complex, the
+    rfft grid's shape) both passes write into it, the second in place.
     """
-    return np.fft.fft(np.fft.rfft(a, axis=-1), axis=-2)
+    return np.fft.fft(np.fft.rfft(a, axis=-1, out=out), axis=-2, out=out)
 
 
-def irfft2(spectrum, width):
+def irfft2(spectrum, width, out=None):
     """``np.fft.irfft2(spectrum, s=(height, width))``, bit for bit: the two
-    1-D calls numpy's irfftn makes, without its argument handling."""
-    return np.fft.irfft(np.fft.ifft(spectrum, axis=-2), n=width, axis=-1)
+    1-D calls numpy's irfftn makes, without its argument handling.
+
+    With ``out`` (real, the image's shape) the column pass runs in place on
+    ``spectrum``, which it uses up, and the row pass writes into ``out``.
+    Without it, ``spectrum`` is left as it was.
+    """
+    columns = np.fft.ifft(spectrum, axis=-2, out=None if out is None else spectrum)
+    return np.fft.irfft(columns, n=width, axis=-1, out=out)
 
 
 class LinearOperator:
@@ -217,7 +224,10 @@ class CircularConvolution(LinearOperator):
         # RSS by half and doubled import-inclusive set-up time. rfft2 and
         # irfft2 are this module's globals, looked up at call time, so a
         # wrapper set on tlf.tensor.rfft2 or irfft2 sees every FFT here.
-        return irfft2(rfft2(a) * resp, a.shape[2])
+        # The product and irfft2's column pass reuse the spectrum in place.
+        spectrum = rfft2(a)
+        spectrum *= resp
+        return irfft2(spectrum, a.shape[2], out=np.empty(a.shape))
 
     def _apply(self, a):
         return self._conv(a, conjugate=False)

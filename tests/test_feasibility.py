@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tlf.errors import ConfigError, NumericalError, ValidationError
-from tlf import feasibility
+from tlf import feasibility, tensor
 from tlf.feasibility import FeasibilityModel, _cg_solve, _jacobi_diagonal, solve_G, solve_G_mu
 from tlf.fixtures import (
     DEBLUR_WEIGHTS,
@@ -97,6 +97,13 @@ class TestModelValidation:
                 solve_G_mu(model, x, x, mu)
         with pytest.raises(ValidationError):
             solve_G_mu(model, x, random_image(rng, 8, 8), 0.5)  # anchor shape
+
+    def test_warm_start_shape_is_a_data_error(self, rng):
+        model = blur_model(rng)
+        x, small = random_image(rng), random_image(rng, 8, 8)
+        for solve in (lambda: solve_G(model, small), lambda: solve_G_mu(model, small, x, 0.5)):
+            with pytest.raises(ValidationError, match=r"\(1, 8, 8\).*\(1, 16, 16\)"):
+                solve()
 
 
 class TestSolveG:
@@ -308,6 +315,44 @@ class TestBufferedAlternation:
             assert solve_G_mu(model, x0, anchor, mu).data.tobytes() == want
             if mu == 0.0:
                 assert solve_G(model, x0).data.tobytes() == want
+
+    # Odd sides exercise the rfft grid's W//2 + 1 columns and irfft(n=W).
+    @pytest.mark.parametrize("mu", [0.0, 0.7])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("data_op", ["conv", "identity"])
+    @pytest.mark.parametrize("h,w", [(9, 15), (15, 9)])
+    def test_odd_sides_equal_to_reference(self, rng, h, w, data_op, channels, mu):
+        make = {"conv": lambda: CircularConvolution(BlurKernel.gaussian(5, 1.2)), "identity": Identity}[data_op]
+        model = FeasibilityModel(
+            data_op=make(), observation=random_image(rng, h, w, c=channels), tv_weight=2e-2, hqs_iters=4
+        )
+        x0, anchor = random_image(rng, h, w, c=channels), random_image(rng, h, w, c=channels)
+        want = reference_hqs(model, x0, anchor, mu)[0].tobytes()
+        assert solve_G_mu(model, x0, anchor, mu).data.tobytes() == want
+        if mu == 0.0:
+            assert solve_G(model, x0).data.tobytes() == want
+
+    def test_fft_solve_reuses_its_buffers(self, rng, monkeypatch):
+        """Every alternation's spectrum goes into one buffer, and its inverse
+        transform into the x the solve returns."""
+        rfft_outs, irfft_outs = [], []
+        rfft2, irfft2 = tensor.rfft2, tensor.irfft2
+
+        def spy_rfft2(a, out=None):
+            rfft_outs.append(out)
+            return rfft2(a, out=out)
+
+        def spy_irfft2(spectrum, width, out=None):
+            irfft_outs.append(out)
+            return irfft2(spectrum, width, out=out)
+
+        model = blur_model(rng, 32, 32, hqs_iters=10)  # K^T b is made here, before the spies
+        monkeypatch.setattr(tensor, "rfft2", spy_rfft2)
+        monkeypatch.setattr(tensor, "irfft2", spy_irfft2)
+        x = solve_G(model, model.observation)
+        assert len(rfft_outs) == len(irfft_outs) == 10
+        assert rfft_outs[0] is not None and all(out is rfft_outs[0] for out in rfft_outs)
+        assert all(out is not None and np.shares_memory(out, x.data) for out in irfft_outs)
 
 
 class TestSharedModel:

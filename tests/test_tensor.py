@@ -264,6 +264,21 @@ class TestFftPair:
         # not exactly Hermitian; so is this one
         spectrum = want * (rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape))
         want = np.fft.irfft2(spectrum, s=shape[1:])
+        before = spectrum.tobytes()
         got = irfft2(spectrum, shape[2])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        assert spectrum.tobytes() == before  # only irfft2(..., out=) uses up its input
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 16, 12), (1, 9, 15), (1, 15, 9)])
+    def test_out_byte_equal_to_numpy(self, rng, shape):
+        a = rng.standard_normal(shape)
+        grid = shape[:2] + (shape[2] // 2 + 1,)
+        out = np.empty(grid, dtype=complex)
+        assert rfft2(a, out=out) is out
+        assert out.tobytes() == np.fft.rfft2(a).tobytes()
+        spectrum = out * (rng.standard_normal(grid) + 1j * rng.standard_normal(grid))
+        want = np.fft.irfft2(spectrum, s=shape[1:])
+        image = np.empty(shape)
+        assert irfft2(spectrum, shape[2], out=image) is image
+        assert image.tobytes() == want.tobytes()
