@@ -10,8 +10,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .config import DEFAULTS, SOLVERS, TASKS, ExperimentConfig, format_defaults, read_config_file
 from .denoise import DESIGNED_KINDS, DenoiserSpec
 from .engine import dtlf_solve, tlf_solve
@@ -21,7 +19,7 @@ from .metrics import psnr, require_ssim_size, ssim
 from .noise import add_gaussian_noise
 from .problem import BASELINE_METHODS, solve_baseline
 from .tasks import build_deblur, build_inpaint, derain_init, derain_solve
-from .tensor import BlurKernel, CircularConvolution
+from .tensor import BlurKernel, CircularConvolution, norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,10 +107,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         n_r = DenoiserSpec.parse(cfg.denoiser_rain)
         init = derain_init(observed, cfg.derain_weights(), params, levels=cfg.levels)
         state, trace = derain_solve(observed, init, (n_b, n_r), params, ground_truth=gt)
-        residual = float(
-            np.linalg.norm(observed.data - state.x_b.data - state.x_r.data)
-            / max(np.linalg.norm(observed.data), 1e-30)
-        )
+        residual = norm(observed.data - state.x_b.data - state.x_r.data) / max(norm(observed.data), 1e-30)
         entries = _summary("derain", "dtlf", trace, state.x_b, gt, [("layer_sum_residual", residual)])
         _write_run(out_root, {"background": state.x_b, "rain": state.x_r}, trace, entries)
         return EXIT_OK

@@ -97,7 +97,7 @@ def _cg_solve(matvec, rhs, x, tol, max_iters, diag):
     result is used up before the next call. x, r, z and p are updated in
     place; a zero rhs sets x to 0. Returns x.
     """
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = _tensor.norm(rhs)
     if rhs_norm == 0.0:
         x.fill(0.0)
         return x
@@ -106,12 +106,12 @@ def _cg_solve(matvec, rhs, x, tol, max_iters, diag):
     z = r / diag
     p = z.copy()
     tmp = np.empty_like(r)
-    rz = float(np.vdot(r, z))
+    rz = _tensor.inner(r, z)
     for _ in range(max_iters):
-        if math.sqrt(float(np.vdot(r, r))) <= stop:
+        if _tensor.norm(r) <= stop:
             break
         ap = matvec(p)
-        pap = float(np.vdot(p, ap))
+        pap = _tensor.inner(p, ap)
         if pap <= 0.0:
             break
         a = rz / pap
@@ -120,11 +120,11 @@ def _cg_solve(matvec, rhs, x, tol, max_iters, diag):
         np.multiply(ap, a, out=tmp)
         r -= tmp
         np.divide(r, diag, out=z)
-        rz_new = float(np.vdot(r, z))
+        rz_new = _tensor.inner(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
-    true_res = float(np.linalg.norm(rhs - matvec(x))) / rhs_norm
+    true_res = _tensor.norm(rhs - matvec(x)) / rhs_norm
     if not true_res <= tol:  # a NaN residual is a stall too
         raise NumericalError(
             f"CG stalled at relative residual {true_res:.3e} > {tol:.3e}",

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConfigError
 from .metrics import psnr
 from .prox import ProxSpec, lp_penalty, prox_lp_array
-from .tensor import ImageTensor, LinearOperator
+from .tensor import ImageTensor, LinearOperator, inner, norm
 from .trace import IterateTrace, TraceRecord
 
 BASELINE_METHODS = ("pg", "apg", "mapg")
@@ -146,7 +146,7 @@ def eval_F(prob: CompositeProblem, x) -> float:
     point = _point(prob, x)
     if point.F is None:
         res = point.residual()
-        value = 0.5 * float(np.vdot(res, res).real)
+        value = 0.5 * inner(res, res)
         if prob.reg_spec.tau > 0:
             value += prob.reg_spec.tau * lp_penalty(point.data, prob.reg_spec.p)
         point.F = value
@@ -191,7 +191,7 @@ def mdus(fn, v, *fallbacks) -> MdusResult:
 def distance(a, b) -> float:
     """||a - b|| over the layers of two solve states: a Point's one array,
     or derain's (background, rain) pair."""
-    return math.hypot(*(float(np.linalg.norm(u - v)) for u, v in zip(a.layers, b.layers)))
+    return math.hypot(*(norm(u - v) for u, v in zip(a.layers, b.layers)))
 
 
 def aggregate(alpha: float, latent, x_F):
@@ -202,7 +202,7 @@ def aggregate(alpha: float, latent, x_F):
 def relative_change(new, old) -> float:
     """||new - old|| / ||new|| over the layers; 0/0 is 0 and x/0 is inf."""
     num = distance(new, old)
-    den = math.hypot(*(float(np.linalg.norm(u)) for u in new.layers))
+    den = math.hypot(*(norm(u) for u in new.layers))
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den

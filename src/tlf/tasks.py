@@ -31,6 +31,7 @@ from .tensor import (
     ImageTensor,
     Mask,
     WaveletForward,
+    inner,
 )
 
 
@@ -197,8 +198,8 @@ def derain_objective(y: ImageTensor, state: DerainState) -> float:
     ry = y.data - state.x_b.data - state.x_r.data
     rb = state.x_b.data - syn_b.data
     rr = state.x_r.data - syn_r.data
-    val = 0.5 * w.recon_weight * float(np.vdot(ry, ry).real)
-    val += 0.5 * float(np.vdot(rb, rb).real) + 0.5 * float(np.vdot(rr, rr).real)
+    val = 0.5 * w.recon_weight * inner(ry, ry)
+    val += 0.5 * inner(rb, rb) + 0.5 * inner(rr, rr)
     val += w.nu1 * lp_penalty(state.beta.data, w.p1)
     val += w.nu2 * lp_penalty(state.gamma.data, w.p2)
     return val

@@ -7,6 +7,7 @@ wrap-around differences of ``diff_stencil`` use circular (periodic)
 boundaries, which keeps them circulant per channel and FFT-diagonalizable.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,6 @@ class ImageTensor:
     def shape(self):
         return self.data.shape
 
-    def norm(self):
-        return float(np.linalg.norm(self.data))
-
 
 @dataclass(frozen=True)
 class BlurKernel:
@@ -119,6 +117,20 @@ class BlurKernel:
             if 0 <= i < size and 0 <= j < size:
                 taps[i, j] = 1.0
         return cls(taps)
+
+
+def inner(a, b) -> float:
+    """<a, b> for two real arrays of one shape: the package's only reduction.
+
+    Every F value, norm, guard test and CG stop rule in tlf is built on it,
+    so they all round alike.
+    """
+    return float(np.vdot(a, b))
+
+
+def norm(a) -> float:
+    """||a||: the square root of ``inner(a, a)``."""
+    return math.sqrt(inner(a, a))
 
 
 def rfft2(a, out=None):
