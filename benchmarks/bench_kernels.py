@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from tlf import _kernels as K  # noqa: E402
 from tlf.feasibility import FeasibilityModel, solve_G  # noqa: E402
 from tlf.tensor import (  # noqa: E402
-    BlurKernel, CircularConvolution, ImageTensor, Mask, diff_stencil, irfft2, rfft2,
+    BlurKernel, CircularConvolution, ImageTensor, Mask, diff_stencil, inner, irfft2, rfft2,
 )
 
 
@@ -71,6 +71,8 @@ def main():
     w_fwd, h_fwd = diff_stencil(v, z[0], -1, True), diff_stencil(v, z[1], -2, True)
     w_bwd, h_bwd = diff_stencil(z[0], bz[0], -1, False), diff_stencil(z[1], bz[1], -2, False)
     subtract(w_fwd + h_fwd)  # z holds finite values before the backward rows run
+    # one (3, n, n) pair: above 8192 elements inner sums np.vdot over runs
+    pair_a, pair_b = rng.standard_normal((2, 3, n, n))
 
     cases = [
         ("prox p=1/2", lambda: K.prox_half(flat, 0.1)),
@@ -86,8 +88,9 @@ def main():
         ("rfft2 numpy", lambda: np.fft.rfft2(v)),
         ("rfft2 two-pass", lambda: rfft2(v)),
         ("irfft2 numpy", lambda: np.fft.irfft2(spectrum, s=(n, n))),
-        ("irfft2 two-pass", lambda: irfft2(spectrum, n)),
         ("fft pair buffered", lambda: irfft2(rfft2(v, out=spectrum_buf), n, out=image_buf)),
+        ("np.vdot", lambda: np.vdot(pair_a, pair_b)),
+        ("inner (runs)", lambda: inner(pair_a, pair_b)),
         ("hqs solve cg", lambda: solve_G(mask_model, x0)),
         ("hqs solve fft", lambda: solve_G(conv_model, x0)),
     ]

@@ -28,30 +28,16 @@ the CLI's output byte-stable shows it with these lines.
 
 Exits 1 when a solve raised or a CLI run exited nonzero; the digests are
 printed first either way.
-
-Like the benchmark worker, the script sets the worker's ``PIN_VARS`` (the
-OpenMP, OpenBLAS, MKL, vecLib and numexpr thread counts) to 1 before numpy
-is imported. At 128x128 and up, BLAS reductions (``np.vdot``,
-``np.linalg.norm``) round differently at 1 and at 2 threads, so F values,
-norms and traces, and with them the digests, depend on the thread count:
-unpinned, two machines or two shells would print different lines for the
-same solves.
 """
 
 import argparse
 import hashlib
-import os
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench_e2e")]
-
-from worker import PIN_VARS  # noqa: E402
-
-for var in PIN_VARS:
-    os.environ[var] = "1"
 
 import numpy as np  # noqa: E402
 from run import WORKLOADS  # noqa: E402

@@ -119,13 +119,27 @@ class BlurKernel:
         return cls(taps)
 
 
+# Elements per np.vdot call in ``inner``. OpenBLAS splits a dot product over
+# threads above 10,000 elements (0.3.31), and the split rounds differently.
+_RUN = 8192
+
+
 def inner(a, b) -> float:
     """<a, b> for two real arrays of one shape: the package's only reduction.
 
     Every F value, norm, guard test and CG stop rule in tlf is built on it,
-    so they all round alike.
+    so they all round alike. The flat arrays are summed as consecutive runs
+    of at most ``_RUN`` elements, one np.vdot each, added in order; so no
+    result depends on the BLAS thread count. An array of ``_RUN`` elements
+    or fewer is one np.vdot call.
     """
-    return float(np.vdot(a, b))
+    if a.size <= _RUN:
+        return float(np.vdot(a, b))
+    a, b = a.reshape(-1), b.reshape(-1)
+    total = 0.0  # a loop, not sum(): sum() compensates from Python 3.12 on
+    for start in range(0, a.size, _RUN):
+        total += float(np.vdot(a[start:start + _RUN], b[start:start + _RUN]))
+    return total
 
 
 def norm(a) -> float:
@@ -143,16 +157,15 @@ def rfft2(a, out=None):
     return np.fft.fft(np.fft.rfft(a, axis=-1, out=out), axis=-2, out=out)
 
 
-def irfft2(spectrum, width, out=None):
+def irfft2(spectrum, width, out):
     """``np.fft.irfft2(spectrum, s=(height, width))``, bit for bit: the two
     1-D calls numpy's irfftn makes, without its argument handling.
 
-    With ``out`` (real, the image's shape) the column pass runs in place on
-    ``spectrum``, which it uses up, and the row pass writes into ``out``.
-    Without it, ``spectrum`` is left as it was.
+    The column pass runs in place on ``spectrum``, which it uses up, and the
+    row pass writes into ``out`` (real, the image's shape).
     """
-    columns = np.fft.ifft(spectrum, axis=-2, out=None if out is None else spectrum)
-    return np.fft.irfft(columns, n=width, axis=-1, out=out)
+    np.fft.ifft(spectrum, axis=-2, out=spectrum)
+    return np.fft.irfft(spectrum, n=width, axis=-1, out=out)
 
 
 class LinearOperator:

@@ -1,6 +1,13 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tlf
 from tlf.errors import ShapeError, ValidationError
 from tlf.tensor import (
     BlurKernel,
@@ -9,6 +16,7 @@ from tlf.tensor import (
     ImageTensor,
     Mask,
     WaveletForward,
+    inner,
     irfft2,
     norm,
     rfft2,
@@ -253,33 +261,115 @@ class TestEstimateLipschitz:
         assert estimate_lipschitz(Mask(np.zeros((8, 8))), shape=(8, 8)) == 0.0
 
 
+FFT_SHAPES = [(1, 1, 1), (1, 1, 7), (1, 5, 1), (3, 6, 9), (2, 7, 8), (1, 64, 64)]
+
+
 class TestFftPair:
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 7), (1, 5, 1), (3, 6, 9), (2, 7, 8), (1, 64, 64)])
+    @pytest.mark.parametrize("shape", FFT_SHAPES)
     def test_byte_equal_to_numpy(self, rng, shape):
         a = rng.standard_normal(shape)
         want = np.fft.rfft2(a)
         got = rfft2(a)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        # the solvers invert products and quotients of spectra, which are
-        # not exactly Hermitian; so is this one
-        spectrum = want * (rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape))
-        want = np.fft.irfft2(spectrum, s=shape[1:])
-        before = spectrum.tobytes()
-        got = irfft2(spectrum, shape[2])
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        assert spectrum.tobytes() == before  # only irfft2(..., out=) uses up its input
 
-    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 16, 12), (1, 9, 15), (1, 15, 9)])
+    @pytest.mark.parametrize("shape", FFT_SHAPES + [(1, 8, 8), (3, 16, 12), (1, 9, 15), (1, 15, 9)])
     def test_out_byte_equal_to_numpy(self, rng, shape):
         a = rng.standard_normal(shape)
         grid = shape[:2] + (shape[2] // 2 + 1,)
         out = np.empty(grid, dtype=complex)
         assert rfft2(a, out=out) is out
         assert out.tobytes() == np.fft.rfft2(a).tobytes()
+        # the solvers invert products and quotients of spectra, which are
+        # not exactly Hermitian; so is this one
         spectrum = out * (rng.standard_normal(grid) + 1j * rng.standard_normal(grid))
         want = np.fft.irfft2(spectrum, s=shape[1:])
         image = np.empty(shape)
         assert irfft2(spectrum, shape[2], out=image) is image
         assert image.tobytes() == want.tobytes()
+
+
+# One deblur TLF solve at 128x128, whose wavelet codes (16384 elements) are
+# larger than one run of ``inner``, and one inner product at 3x256x256.
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from tlf import engine, fixtures, tasks, tensor
+gt, kernel, blurry = fixtures.deblur_fixture(seed=42, size=128)
+prob, feas = tasks.build_deblur(blurry, kernel, **fixtures.DEBLUR_WEIGHTS)
+x, trace = engine.tlf_solve(prob, feas, fixtures.deblur_params(max_iters=10), ground_truth=gt)
+a, b = np.random.default_rng(3).standard_normal((2, 3, 256, 256))
+print(trace.to_csv())
+print(hashlib.sha256(prob.to_image(x).data.tobytes()).hexdigest())
+print(tensor.inner(a, b).hex())
+"""
+
+# BLAS reductions; only tensor.inner may call one
+REDUCTIONS = {"np.vdot", "np.dot", "np.inner", "np.matmul", "np.tensordot", "np.linalg.norm"}
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts)).replace("numpy.", "np.", 1)
+
+
+def _reductions(path):
+    """file:line of every BLAS reduction in ``path`` outside tensor.inner."""
+    tree = ast.parse(path.read_text(), str(path))
+    exempt = {
+        id(n) for f in tree.body
+        if path.name == "tensor.py" and isinstance(f, ast.FunctionDef) and f.name == "inner"
+        for n in ast.walk(f)
+    }
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            bad = _dotted(node.func) in REDUCTIONS or node.func.attr == "dot"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            bad = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            bad = any(f"{node.module}.{a.name}".replace("numpy", "np", 1) in REDUCTIONS for a in node.names)
+        else:
+            continue
+        if bad:
+            yield f"{path.name}:{node.lineno}"
+
+
+class TestInner:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 64, 64), (2, 64, 64), (1, 1, 8192)])
+    def test_one_run_is_one_vdot(self, rng, shape):
+        a, b = rng.standard_normal((2,) + shape)
+        assert inner(a, b) == float(np.vdot(a, b))
+        assert norm(a) == float(np.linalg.norm(a))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 8193), (1, 128, 128), (3, 100, 99)])
+    def test_runs_summed_in_order(self, rng, shape):
+        a, b = rng.standard_normal((2,) + shape)
+        flat_a, flat_b = a.reshape(-1), b.reshape(-1)
+        want = 0.0
+        for start in range(0, a.size, 8192):
+            want += float(np.vdot(flat_a[start:start + 8192], flat_b[start:start + 8192]))
+        assert inner(a, b) == want
+        assert abs(inner(a, b) - float(np.vdot(a, b))) <= 1e-12 * norm(a) * norm(b)
+
+    def test_independent_of_blas_thread_count(self):
+        src = str(Path(tlf.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_only_inner_reduces(self):
+        package = Path(tlf.__file__).resolve().parent
+        found = [site for path in sorted(package.glob("*.py")) for site in _reductions(path)]
+        assert not found, "BLAS reduction outside tensor.inner at " + ", ".join(found)
